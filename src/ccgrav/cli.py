@@ -5,7 +5,8 @@ JSON config file (schema-versioned, unknown fields rejected) with CLI flags
 taking precedence.  Outputs embed the SHA-256 hash of the resolved config
 and the numeric tolerances in force, floats are rendered to 12 significant
 digits, and identical configs produce byte-identical files.  Exit codes:
-0 success, 2 schema violation, 3 numerical-convergence failure.
+0 success, 2 schema violation or an input the library rejects, 3 numerical
+failure (no convergence, or a result that is not finite).
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"result {x!r} is not finite")
     return format(float(x), ".12g")
 
 
@@ -132,19 +133,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _finite(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError
+    return out
+
+
 def _coerce(command: str, name: str, value):
     kind, _default, _help = PARAM_SPECS[command][name]
     try:
         if kind == "floatlist":
             if isinstance(value, str):
-                return [float(v) for v in value.split(",") if v.strip()]
-            return [float(v) for v in value]
+                return [_finite(v) for v in value.split(",") if v.strip()]
+            return [_finite(v) for v in value]
         if kind is int:
             if isinstance(value, float) and value != int(value):
                 raise ValueError
             return int(value)
+        if kind is float:
+            return _finite(value)
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaViolation(f"parameter {name!r} of command {command!r}: bad value {value!r}")
 
 
@@ -325,14 +335,6 @@ def _run_circuit_check(params: dict):
     return ["tau", "residual"], rows
 
 
-def _sweep_threads() -> int:
-    raw = os.environ.get("CCGRAV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_sweep(params: dict):
     quantity = params["quantity"]
     grid = params["grid"]
@@ -362,13 +364,7 @@ def _run_sweep(params: dict):
     else:
         raise SchemaViolation(f"unknown sweep quantity {quantity!r}")
 
-    threads = _sweep_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(task, grid))  # map preserves grid order
-    else:
-        rows = [task(v) for v in grid]
-    return header, rows
+    return header, [task(v) for v in grid]
 
 
 RUNNERS = {
@@ -390,7 +386,7 @@ def _render_json(command: str, params: dict, result: dict) -> str:
         "tolerances": _tolerances(command, params),
         "result": _round12(result),
     }
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _render_csv(command: str, params: dict, header: list, rows: list) -> str:
@@ -444,7 +440,10 @@ def main(argv=None) -> int:
         if fmt == "csv" and command not in CSV_COMMANDS:
             raise SchemaViolation(f"command {command!r} only emits JSON")
 
-        outcome = RUNNERS[command](params)
+        try:
+            outcome = RUNNERS[command](params)
+        except ValueError as exc:  # inputs the library itself rejects
+            raise SchemaViolation(str(exc)) from exc
         if command in CSV_COMMANDS:
             header, rows = outcome
             if fmt == "csv":
@@ -459,7 +458,8 @@ def main(argv=None) -> int:
         record = {"error": {"kind": "schema", "message": str(exc)}}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 2
-    except CcgravError as exc:
+    except (CcgravError, ArithmeticError, ValueError) as exc:
+        # ValueError here is a non-finite result refused by the renderers
         record = {
             "error": {"kind": type(exc).__name__, "message": str(exc)}
         }

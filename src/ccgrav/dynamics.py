@@ -388,7 +388,6 @@ class EvolutionConfig:
 
     total_time: float
     steps: int
-    order: int = 4
     convergence_check: bool = True
 
     def __post_init__(self):
@@ -396,8 +395,6 @@ class EvolutionConfig:
             raise ValueError("total_time must be nonnegative")
         if self.steps < 1:
             raise ValueError("need at least one step")
-        if self.order != 4:
-            raise ValueError("only the 4th-order integrator is implemented")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from ccgrav.lattice_sums import _radial_tail
+from ccgrav.quadrature import adaptive_simpson
+
 
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -60,3 +63,53 @@ def choi_matrix(channel, dim):
             block = channel(e)
             out[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] += block
     return out
+
+
+def adaptive_tail(pts, weights, centre, radius, tol):
+    """Continuum tail of the lattice sum by adaptive Simpson nested in r,
+    theta and phi, one scalar point at a time (oracle for the product rule)."""
+
+    def value(r, theta, phi):
+        st = math.sin(theta)
+        u = (
+            centre[0] + r * st * math.cos(phi),
+            centre[1] + r * st * math.sin(phi),
+            centre[2] + r * math.cos(theta),
+        )
+        v = 0.0
+        for p, w in zip(pts, weights):
+            v += w / (
+                math.sqrt(
+                    (u[0] - p[0]) ** 2 + (u[1] - p[1]) ** 2 + (u[2] - p[2]) ** 2
+                )
+                + 1.0
+            )
+        return v * v
+
+    def shell(r: float) -> float:
+        theta_tol = tol * radius / r**4
+
+        def over_theta(theta: float) -> float:
+            def over_phi(phi: float) -> float:
+                return value(r, theta, phi)
+
+            inner = adaptive_simpson(
+                over_phi,
+                0.0,
+                2.0 * math.pi,
+                theta_tol,
+                points=(math.pi / 2, math.pi, 3 * math.pi / 2),
+                noise_floor=theta_tol / 8.0,
+            )
+            return math.sin(theta) * inner
+
+        return adaptive_simpson(
+            over_theta,
+            0.0,
+            math.pi,
+            theta_tol,
+            points=(math.pi / 3, math.pi / 2, 2 * math.pi / 3),
+            noise_floor=theta_tol / 4.0,
+        )
+
+    return _radial_tail(shell, radius, tol)

@@ -178,15 +178,36 @@ def test_deterministic_output_files(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_threaded_output_matches_sequential(tmp_path, capsys, monkeypatch):
-    args = ["sweep", "--quantity", "rate", "--kappa-sq", "2", "--grid", "0.5,1,2,4"]
-    sequential = tmp_path / "seq.csv"
-    threaded = tmp_path / "par.csv"
-    assert main(args + ["--output", str(sequential)]) == 0
-    monkeypatch.setenv("CCGRAV_THREADS", "3")
-    assert main(args + ["--output", str(threaded)]) == 0
-    capsys.readouterr()
-    assert sequential.read_bytes() == threaded.read_bytes()
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["heat", "--mass", "nan", "--cutoff", "1e-15"],
+        ["sweep", "--quantity", "integral", "--grid", "1,-1"],
+        ["kappa", "--D", "nan"],
+    ],
+    ids=["heat-nan-mass", "sweep-negative-separation", "kappa-nan-separation"],
+)
+def test_bad_numbers_are_schema_errors(args, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["heat", "--mass", "1e300", "--cutoff", "1e-100"],
+        ["sweep", "--quantity", "rate", "--kappa-sq", "1e300", "--grid", "1e-300"],
+    ],
+    ids=["json", "csv"],
+)
+def test_non_finite_result_is_numerical_failure(args, capsys):
+    # finite inputs whose result overflows to inf
+    code, out, err = run(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert "error" in json.loads(err)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_adjoint_infinite_mode_matches_kappa_formula():
 
 
 def test_adjoint_infinite_mode_non_collinear_sources():
-    # four involved sites spanning a plane exercise the spherical tail path;
+    # four involved sites spanning a plane give a tail with no symmetry axis;
     # two cutoff radii must agree within their reported truncation bounds
     lattice = LatticeSpec(dimension=3, extents=(3, 3, 3))
     basis = FockBasis(27, 2)
@@ -295,8 +295,6 @@ def test_evolution_config_validation():
         EvolutionConfig(total_time=-1.0, steps=10)
     with pytest.raises(ValueError):
         EvolutionConfig(total_time=1.0, steps=0)
-    with pytest.raises(ValueError):
-        EvolutionConfig(total_time=1.0, steps=10, order=2)
 
 
 def test_unitary_evolution_preserves_purity():
