@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .errors import QuadratureError
+from .errors import QuadratureError, check_positive
 from .lattice import HBAR, CouplingKernel, LatticeSpec
 from .lattice_sums import column_difference_sum
 from .quadrature import adaptive_simpson
@@ -36,8 +36,11 @@ DEFAULT_TOLERANCE = 1e-3
 class KappaResult:
     """Converged lattice sum for a squared dephasing frequency.
 
-    ``tail_bound`` is the relative truncation bound after the continuum tail
-    correction; it is below ``tolerance`` whenever the sum succeeded.
+    ``tail_bound`` estimates the relative truncation error left after the
+    continuum tail correction: the largest relative change when the cutoff
+    is lowered to the checkpoint radii of ``column_difference_sum``.  It is
+    a sampled estimate, not a proven bound, and is below ``tolerance``
+    whenever the sum succeeded.
     """
 
     kappa_sq: float
@@ -78,7 +81,8 @@ def kappa_sq(
         disp = np.asarray(separation, dtype=float)
         if disp.shape != (3,):
             raise ValueError("separation must be a scalar or a 3-vector")
-    dist = float(np.linalg.norm(disp))
+    check_positive("separation must be finite", *np.abs(disp), allow_zero=True)
+    dist = math.hypot(*disp)
     prefactor = (scale / spacing) ** 2
     if dist == 0.0:
         return KappaResult(0.0, 0.0, cutoff_radius, 0.0, tolerance)
@@ -113,8 +117,7 @@ def integral_I(separation: float, *, rel_tol: float = 1e-3) -> float:
     internal tolerances by 4x moves the result by less than ``rel_tol``.
     """
     D = float(separation)
-    if D < 0:
-        raise ValueError("separation must be nonnegative")
+    check_positive("separation must be finite and nonnegative", D, allow_zero=True)
     if D == 0.0:
         return 0.0
 
@@ -166,17 +169,18 @@ def asymptotic_lower_bound(separation: float) -> float:
 
 def dephasing_rate(kappa_squared: float, xi: float) -> float:
     """Coherence decay rate xi + kappa^2 / (2 xi) at measurement strength xi."""
-    if not xi > 0:
-        raise ValueError("measurement strength must be positive")
-    if kappa_squared < 0:
-        raise ValueError("kappa^2 must be nonnegative")
+    check_positive("measurement strength must be positive and finite", xi)
+    check_positive(
+        "kappa^2 must be finite and nonnegative", kappa_squared, allow_zero=True
+    )
     return xi + kappa_squared / (2.0 * xi)
 
 
 def optimal_xi(kappa_squared: float) -> tuple[float, float]:
     """Minimising strength and minimal rate: (kappa/sqrt(2), sqrt(2) kappa)."""
-    if kappa_squared < 0:
-        raise ValueError("kappa^2 must be nonnegative")
+    check_positive(
+        "kappa^2 must be finite and nonnegative", kappa_squared, allow_zero=True
+    )
     return math.sqrt(kappa_squared / 2.0), math.sqrt(2.0 * kappa_squared)
 
 
@@ -207,8 +211,9 @@ def min_dephasing_estimate(
 
     (G m^2 / (2 a hbar)) sqrt(d / a) with prefactor exactly one.
     """
-    if min(mass_kg, cutoff_m, separation_m) <= 0:
-        raise ValueError("all inputs must be positive")
+    check_positive(
+        "all inputs must be positive and finite", mass_kg, cutoff_m, separation_m
+    )
     scale_rate = constants.G * mass_kg**2 / (2.0 * cutoff_m * constants.hbar)
     return scale_rate * math.sqrt(separation_m / cutoff_m)
 
@@ -222,8 +227,7 @@ def hopping_damping_rate(i: int, j: int, xi: float, kernel: CouplingKernel) -> f
     """
     if i == j:
         raise ValueError("hopping damping is defined for distinct sites")
-    if not xi > 0:
-        raise ValueError("measurement strength must be positive")
+    check_positive("measurement strength must be positive and finite", xi)
     chi = kernel.matrix
     c = np.zeros(kernel.num_sites)
     c[j] += 1.0
@@ -269,10 +273,10 @@ def momentum_variance_asymptote(
     ``mass`` cancels between the mass operator and its 1/m prefactor and is
     accepted only for interface completeness.
     """
-    if particle_count < 0:
-        raise ValueError("particle count must be nonnegative")
-    if min(spacing, mass) <= 0:
-        raise ValueError("spacing and mass must be positive")
+    check_positive(
+        "particle count must be finite and nonnegative", particle_count, allow_zero=True
+    )
+    check_positive("spacing and mass must be positive and finite", spacing, mass)
     stated_prefactor = (2.0 * math.pi * hbar / spacing) ** 2
     zone_prefactor = (hbar * math.pi / spacing) ** 2
     return MomentumVarianceReport(
@@ -288,6 +292,5 @@ def heating_rate(
     mass_kg: float, cutoff_m: float, constants: PhysicalConstants = CODATA
 ) -> float:
     """Order-of-magnitude heating power G hbar M / a^3, SI, prefactor one."""
-    if min(mass_kg, cutoff_m) <= 0:
-        raise ValueError("mass and cutoff must be positive")
+    check_positive("mass and cutoff must be positive and finite", mass_kg, cutoff_m)
     return constants.G * constants.hbar * mass_kg / cutoff_m**3

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import CODATA, PhysicalConstants
+from .errors import check_positive
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,12 @@ class InterferometryScenario:
     coherence_time_s: float
 
     def __post_init__(self):
-        if min(self.mass_kg, self.separation_m, self.coherence_time_s) <= 0:
-            raise ValueError("all scenario fields must be positive")
+        check_positive(
+            "all scenario fields must be positive and finite",
+            self.mass_kg,
+            self.separation_m,
+            self.coherence_time_s,
+        )
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,11 @@ class HeatingScenario:
     power_w: float
 
     def __post_init__(self):
-        if min(self.mass_kg, self.power_w) <= 0:
-            raise ValueError("all scenario fields must be positive")
+        check_positive(
+            "all scenario fields must be positive and finite",
+            self.mass_kg,
+            self.power_w,
+        )
 
 
 ExperimentScenario = InterferometryScenario | HeatingScenario
@@ -69,8 +77,12 @@ def interferometry_bound(
     Solves (G m^2 / (2 a hbar)) sqrt(Delta / a) t = 1 for a, giving
     a_min = (G m^2 sqrt(Delta) t / (2 hbar))^(2/3).
     """
-    if min(mass_kg, separation_m, coherence_time_s) <= 0:
-        raise ValueError("all inputs must be positive")
+    check_positive(
+        "all inputs must be positive and finite",
+        mass_kg,
+        separation_m,
+        coherence_time_s,
+    )
     gm2 = constants.G * mass_kg**2
     prefactor = gm2 * separation_m**0.5 * coherence_time_s / (2.0 * constants.hbar)
     a_min = prefactor ** (2.0 / 3.0)
@@ -96,8 +108,7 @@ def heating_bound(
     mass_kg: float, power_w: float, constants: PhysicalConstants = CODATA
 ) -> BoundReport:
     """Smallest cutoff compatible with an observed power budget: (G M hbar / P)^(1/3)."""
-    if min(mass_kg, power_w) <= 0:
-        raise ValueError("all inputs must be positive")
+    check_positive("all inputs must be positive and finite", mass_kg, power_w)
     volume = constants.G * mass_kg * constants.hbar / power_w
     a_min = volume ** (1.0 / 3.0)
     return BoundReport(

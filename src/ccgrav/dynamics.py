@@ -40,7 +40,12 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import PositivityError, StepSizeError, TruncationOverflowError
+from .errors import (
+    PositivityError,
+    StepSizeError,
+    TruncationOverflowError,
+    check_positive,
+)
 from .fock import FockBasis, OperatorMatrix
 from .lattice import HBAR, CouplingKernel
 from .lattice_sums import column_difference_sum
@@ -104,8 +109,7 @@ class NoiseGenerator:
     xi: float
 
     def __post_init__(self):
-        if not (self.xi > 0 and math.isfinite(self.xi)):
-            raise ValueError("measurement strength xi must be positive and finite")
+        check_positive("measurement strength xi must be positive and finite", self.xi)
         if self.kernel.num_sites != self.basis.num_sites:
             raise ValueError("kernel and basis are built over different lattices")
 

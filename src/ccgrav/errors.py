@@ -1,9 +1,23 @@
-"""Exception types for numerical-quality failures.
+"""Exception types for numerical-quality failures, and the input range check.
 
 Every routine that truncates an infinite object (a quadrature window, a
 lattice sum, an oscillator ladder, a time grid) raises one of these instead
-of silently returning a degraded value.
+of silently returning a degraded value.  Inputs out of range, NaN and
+infinity included, are rejected with ``ValueError`` by ``check_positive``.
 """
+
+import math
+
+
+def check_positive(message: str, *values: float, allow_zero: bool = False) -> None:
+    """Raise ValueError(message) unless every value is finite and positive.
+
+    With ``allow_zero`` zero passes too.  Written as one positive test, so
+    NaN fails it where a ``<= 0`` guard lets NaN through.
+    """
+    for x in values:
+        if not (math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
+            raise ValueError(message)
 
 
 class CcgravError(Exception):

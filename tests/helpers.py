@@ -113,3 +113,30 @@ def adaptive_tail(pts, weights, centre, radius, tol):
         )
 
     return _radial_tail(shell, radius, tol)
+
+
+def square_core_sums(pts, weights, centre, radii) -> list[float]:
+    """Sum of v(l)^2 over integer points with |l - centre| <= R, per radius,
+    by masking the full square of every plane (oracle for the merged-column
+    core pass)."""
+    rmax = max(radii)
+    cx, cy, cz = centre
+    xs = np.arange(math.ceil(cx - rmax), math.floor(cx + rmax) + 1)
+    ys = np.arange(math.ceil(cy - rmax), math.floor(cy + rmax) + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X = X.astype(float)
+    Y = Y.astype(float)
+    totals = [0.0 for _ in radii]
+    z_lo = math.ceil(cz - rmax)
+    z_hi = math.floor(cz + rmax)
+    r2_limits = [R * R for R in radii]
+    for z in range(z_lo, z_hi + 1):
+        r2 = (X - cx) ** 2 + (Y - cy) ** 2 + (z - cz) ** 2
+        v = np.zeros_like(X)
+        for p, w in zip(pts, weights):
+            dist = np.sqrt((X - p[0]) ** 2 + (Y - p[1]) ** 2 + (z - p[2]) ** 2)
+            v += w / (dist + 1.0)
+        v2 = v * v
+        for k, lim in enumerate(r2_limits):
+            totals[k] += float(v2[r2 <= lim].sum())
+    return totals

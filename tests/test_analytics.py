@@ -22,6 +22,12 @@ from ccgrav import (
     momentum_variance_asymptote,
     optimal_xi,
 )
+from ccgrav.bounds import (
+    HeatingScenario,
+    InterferometryScenario,
+    heating_bound,
+    interferometry_bound,
+)
 from ccgrav.constants import CODATA, PhysicalConstants
 from ccgrav.quadrature import simpson_refined
 
@@ -192,3 +198,53 @@ def test_heating_rate_scaling_exponents(M, a, lam):
     base = heating_rate(M, a)
     assert heating_rate(lam * M, a) == pytest.approx(lam * base, rel=1e-12)
     assert heating_rate(M, lam * a) == pytest.approx(base / lam**3, rel=1e-9)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kappa_sq(NAN),
+        lambda: kappa_sq(INF),
+        lambda: kappa_sq([0.0, NAN, 1.0]),
+        lambda: integral_I(NAN),
+        lambda: integral_I(INF),
+        lambda: dephasing_rate(NAN, 1.0),
+        lambda: dephasing_rate(1.0, NAN),
+        lambda: optimal_xi(NAN),
+        lambda: optimal_xi(INF),
+        lambda: min_dephasing_estimate(NAN, 1e-15, 1e-6),
+        lambda: heating_rate(1e-25, NAN),
+        lambda: heating_rate(INF, 1e-15),
+        lambda: momentum_variance_asymptote(NAN),
+        lambda: interferometry_bound(1e-25, NAN, 1e-3),
+        lambda: heating_bound(NAN, 1e-30),
+        lambda: InterferometryScenario(1e-25, 1e-6, INF),
+        lambda: HeatingScenario(1e-25, NAN),
+    ],
+    ids=[
+        "kappa-nan",
+        "kappa-inf",
+        "kappa-vector-nan",
+        "integral-nan",
+        "integral-inf",
+        "rate-kappa-nan",
+        "rate-xi-nan",
+        "optimal-xi-nan",
+        "optimal-xi-inf",
+        "min-dephasing-nan",
+        "heating-rate-nan",
+        "heating-rate-inf",
+        "momentum-variance-nan",
+        "interferometry-bound-nan",
+        "heating-bound-nan",
+        "interferometry-scenario-inf",
+        "heating-scenario-nan",
+    ],
+)
+def test_non_finite_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

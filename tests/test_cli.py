@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ccgrav
 from ccgrav import asymptotic_lower_bound
 from ccgrav.cli import main
 
@@ -208,6 +213,22 @@ def test_non_finite_result_is_numerical_failure(args, capsys):
     assert code == 3
     assert out == ""
     assert "error" in json.loads(err)
+
+
+def test_overflowing_separation_writes_one_json_record():
+    # a fresh interpreter, so that a numpy warning would reach stderr
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccgrav.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgrav.cli", "kappa", "--D", "1e300"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    [record] = proc.stderr.splitlines()
+    assert json.loads(record)["error"]["kind"] == "LatticeSumError"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
