@@ -12,6 +12,7 @@ failure (no convergence, or a result that is not finite).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -113,6 +114,7 @@ PARAM_SPECS: dict[str, dict[str, tuple]] = {
 CSV_COMMANDS = {"circuit-check", "sweep"}
 
 
+@functools.lru_cache(maxsize=None)  # parsing leaves no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ccgrav", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its values")

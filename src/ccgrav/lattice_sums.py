@@ -41,12 +41,30 @@ import math
 
 import numpy as np
 
-from .errors import LatticeSumError, QuadratureError
+from .errors import LatticeSumError, QuadratureError, check_positive
 from .quadrature import adaptive_simpson
 
 _SPHERE_NODES_START = 8
 _SPHERE_NODES_MAX = 512
 _CHECKPOINTS = (0.6, 0.7, 0.8, 0.9)  # fractions of the cutoff radius
+MAX_GRID_SIDE = 2048  # ceiling on the 2R + 1 xy columns per row of the core pass
+
+
+def check_cutoff(cutoff_radius: float, tolerance: float) -> None:
+    """Raise ValueError unless the cutoff radius and the tolerance are
+    positive and finite and the core pass's xy grid, at most 2R + 1 columns
+    on a side, fits within MAX_GRID_SIDE (R <= 1023.5)."""
+    check_positive(
+        "cutoff_radius and tolerance must be positive and finite",
+        cutoff_radius,
+        tolerance,
+    )
+    if 2.0 * cutoff_radius + 1.0 > MAX_GRID_SIDE:
+        raise ValueError(
+            f"cutoff_radius {cutoff_radius:g} is above the largest usable radius "
+            f"{(MAX_GRID_SIDE - 1) / 2:g}: its xy grid would exceed "
+            f"{MAX_GRID_SIDE}^2 columns"
+        )
 
 
 def _as_points(points) -> np.ndarray:
@@ -203,8 +221,10 @@ def column_difference_sum(
     0.6, 0.7, 0.8 and 0.9 * cutoff_radius (none closer than 6 spacings to a
     source); it is sampled, not proven.  Raises LatticeSumError when it
     exceeds ``tolerance`` or the sources do not fit well inside the radius,
-    and ValueError for non-finite points or weights.
+    and ValueError for non-finite points or weights and for a radius or
+    tolerance that ``check_cutoff`` rejects.
     """
+    check_cutoff(cutoff_radius, tolerance)
     pts = _as_points(points)
     wts = np.asarray(weights, dtype=float)
     if wts.shape != (len(pts),):

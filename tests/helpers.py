@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from ccgrav.errors import QuadratureError
 from ccgrav.lattice_sums import _radial_tail
 from ccgrav.quadrature import adaptive_simpson
 
@@ -140,3 +141,78 @@ def square_core_sums(pts, weights, centre, radii) -> list[float]:
         for k, lim in enumerate(r2_limits):
             totals[k] += float(v2[r2 <= lim].sum())
     return totals
+
+
+def _unmap(r: float) -> float:
+    """Inverse of the compression map u -> u / (1 - u)^2 on [0, 1)."""
+    if r <= 0:
+        return 0.0
+    return (2.0 * r + 1.0 - math.sqrt(4.0 * r + 1.0)) / (2.0 * r)
+
+
+def cylindrical_integral(separation: float, rel_tol: float = 1e-3) -> float:
+    """The continuum integral I(D) by nested adaptive Simpson in cylindrical
+    coordinates, both half-infinite directions mapped to (0, 1) (oracle for
+    the two-centre reduction in ``integral_I``)."""
+    D = float(separation)
+    d_half = D / 2.0
+    z_marks = [z for z in (d_half - 2, d_half - 1, d_half, d_half + 1, d_half + 2, D, 2 * D) if z > 0]
+    q_marks = [_unmap(z) for z in z_marks]
+    p_marks = [_unmap(r) for r in (0.5, 1.0, 2.0, d_half, D) if r > 0]
+
+    def pair_integrand(rho: float, z: float) -> float:
+        d1 = math.hypot(rho, z - d_half)
+        d2 = math.hypot(rho, z + d_half)
+        ratio = (d1 - d2) / ((1.0 + d1) * (1.0 + d2))
+        return ratio * ratio
+
+    def evaluate(outer_tol: float) -> float:
+        def transverse(p: float) -> float:
+            if p >= 1.0:
+                return 0.0
+            rho = p / (1.0 - p) ** 2
+            rho_jac = (1.0 + p) / (1.0 - p) ** 3
+            inner_tol = 0.15 * outer_tol / max(rho * rho_jac, 1.0)
+
+            def over_z(q: float) -> float:
+                if q >= 1.0:
+                    return 0.0
+                z = q / (1.0 - q) ** 2
+                z_jac = (1.0 + q) / (1.0 - q) ** 3
+                return pair_integrand(rho, z) * z_jac
+
+            inner = adaptive_simpson(over_z, 0.0, 1.0, inner_tol, points=q_marks)
+            return 2.0 * rho * inner * rho_jac
+
+        return 2.0 * math.pi * adaptive_simpson(
+            transverse, 0.0, 1.0, outer_tol, points=p_marks, noise_floor=0.3 * outer_tol
+        )
+
+    tol = 0.2 * rel_tol * max(0.5 * math.pi**2 * D, 1.0)
+    previous = evaluate(tol)
+    for _ in range(2):
+        tol /= 4.0
+        current = evaluate(tol)
+        if abs(current - previous) <= rel_tol * abs(current):
+            return current
+        previous = current
+    raise QuadratureError(f"cylindrical integral did not converge at separation {D:g}")
+
+
+def two_centre_integral_mp(separation: float, dps: int = 30) -> float:
+    """I(D) from the two-centre form, by mpmath at ``dps`` digits with the
+    closed forms of A and B (reference for the float integrand and its
+    series)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        D = mp.mpf(separation)
+
+        def h(s):
+            a = s + 2
+            x = D / a
+            artanh = mp.atanh(x)
+            return a * (artanh - x) - 2 * (s + 1) / a * (x / (1 - x * x) - artanh)
+
+        breaks = [D, D + 1, D + 10, 2 * D, 10 * D, 100 * D, mp.inf]
+        return float(8 * mp.pi / D * mp.quad(h, breaks))

@@ -30,6 +30,7 @@ from ccgrav.bounds import (
 )
 from ccgrav.constants import CODATA, PhysicalConstants
 from ccgrav.quadrature import simpson_refined
+from helpers import cylindrical_integral, two_centre_integral_mp
 
 
 def test_kappa_vanishes_for_coincident_sites():
@@ -82,8 +83,33 @@ def test_integral_trivial_limits():
 
 
 def test_integral_exceeds_linear_bound():
-    for D in (10.0, 20.0):
+    # I(D) = (pi^2/2) D at D* = 5.8968 (mpmath root of the two-centre form)
+    assert integral_I(5.89) < asymptotic_lower_bound(5.89)
+    for D in (10.0, 20.0, *np.geomspace(5.905, 1e6, 25)):
         assert integral_I(D) > asymptotic_lower_bound(D)
+
+
+@pytest.mark.parametrize("D", [1.0, 2.0, 7.0, 10.0, 33.0, 100.0])
+def test_integral_matches_cylindrical_oracle(D):
+    assert integral_I(D) == pytest.approx(cylindrical_integral(D), rel=1e-3)
+
+
+@pytest.mark.parametrize("D", [1.0, 10.0, 100.0])
+def test_integral_matches_mpmath_two_centre_form(D):
+    pytest.importorskip("mpmath")
+    assert integral_I(D) == pytest.approx(two_centre_integral_mp(D), rel=1e-5)
+
+
+@pytest.mark.parametrize("D", [1e8, 1e12])
+def test_integral_large_separation_asymptote(D):
+    asymptote = 4 * math.pi * D - 16 * math.pi * math.log(D) + 75.3982
+    assert integral_I(D) == pytest.approx(asymptote, rel=1e-3)
+
+
+@pytest.mark.parametrize("D", [1e-2, 1e-100])
+def test_integral_small_separation_limit(D):
+    # I(D) -> D^2 * integral of (df/dz)^2 = 4 pi D^2 / 9 as D -> 0
+    assert integral_I(D) == pytest.approx(4 * math.pi * D * D / 9, rel=1e-3)
 
 
 def test_integral_doubling_ratio_trends_to_two():
@@ -212,6 +238,7 @@ INF = float("inf")
         lambda: kappa_sq([0.0, NAN, 1.0]),
         lambda: integral_I(NAN),
         lambda: integral_I(INF),
+        lambda: integral_I(1.0, rel_tol=NAN),
         lambda: dephasing_rate(NAN, 1.0),
         lambda: dephasing_rate(1.0, NAN),
         lambda: optimal_xi(NAN),
@@ -231,6 +258,7 @@ INF = float("inf")
         "kappa-vector-nan",
         "integral-nan",
         "integral-inf",
+        "integral-rel-tol-nan",
         "rate-kappa-nan",
         "rate-xi-nan",
         "optimal-xi-nan",

@@ -215,20 +215,70 @@ def test_non_finite_result_is_numerical_failure(args, capsys):
     assert "error" in json.loads(err)
 
 
-def test_overflowing_separation_writes_one_json_record():
-    # a fresh interpreter, so that a numpy warning would reach stderr
+def run_fresh(args):
+    """Run the CLI in a fresh interpreter, so that a numpy warning would
+    reach stderr."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccgrav.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ccgrav.cli", "kappa", "--D", "1e300"],
+    return subprocess.run(
+        [sys.executable, "-m", "ccgrav.cli", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_overflowing_separation_writes_one_json_record():
+    proc = run_fresh(["kappa", "--D", "1e300"])
     assert proc.returncode == 3
     assert proc.stdout == ""
     [record] = proc.stderr.splitlines()
     assert json.loads(record)["error"]["kind"] == "LatticeSumError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kappa", "--D", "5", "--radius", "1e300"],
+        ["kappa", "--D", "5", "--radius", "-3"],
+        ["kappa", "--D", "1e300", "--radius", "1e300"],
+    ],
+    ids=["huge-radius", "negative-radius", "huge-separation-and-radius"],
+)
+def test_unusable_radius_is_one_schema_record(args):
+    proc = run_fresh(args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [record] = proc.stderr.splitlines()
+    error = json.loads(record)["error"]
+    assert error["kind"] == "schema"
+    assert "cutoff_radius" in error["message"]
+
+
+def test_integral_at_huge_separation_is_near_its_asymptote(capsys):
+    code, out, _ = run(["integral", "--D", "1e300"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == pytest.approx(4 * math.pi * 1e300, rel=1e-3)
+
+
+def test_back_to_back_runs_leak_no_state(tmp_path, capsys):
+    code, out, _ = run(["dephase", "--D", "5", "--xi", "2", "--radius", "30"], capsys)
+    assert code == 0
+    assert "rate_at_xi" in json.loads(out)["result"]
+    code, out, _ = run(["dephase", "--D", "5"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert "rate_at_xi" not in result and "xi" not in result
+    assert result["radius"] == 60.0
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"schema_version": 1, "command": "dephase", "params": {"D": 5}})
+    )
+    code, out, _ = run(["--config", str(config)], capsys)
+    assert code == 0
+    fresh = run_fresh(["--config", str(config)])
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccgrav.analytics import kappa_sq
 from ccgrav.errors import LatticeSumError
 from ccgrav.lattice_sums import _core_sums, _tail, column_difference_sum
 from helpers import adaptive_tail, square_core_sums
@@ -93,3 +94,37 @@ def test_core_sums_match_square_oracle(points, weights, radii):
 def test_unusable_inputs_fail_before_the_sum(points, weights, error):
     with pytest.raises(error):
         column_difference_sum(points, weights)
+
+
+@pytest.mark.parametrize(
+    "radius, tolerance",
+    [
+        (-3.0, 1e-3),
+        (0.0, 1e-3),
+        (np.nan, 1e-3),
+        (np.inf, 1e-3),
+        (1e300, 1e-3),
+        (1024.0, 1e-3),
+        (60.0, 0.0),
+        (60.0, -1e-3),
+        (60.0, np.nan),
+    ],
+    ids=[
+        "negative-radius",
+        "zero-radius",
+        "nan-radius",
+        "inf-radius",
+        "huge-radius",
+        "grid-above-ceiling",
+        "zero-tolerance",
+        "negative-tolerance",
+        "nan-tolerance",
+    ],
+)
+def test_bad_cutoff_or_tolerance_is_rejected_first(radius, tolerance):
+    # the points are malformed too: the cutoff check must come before them
+    with pytest.raises(ValueError, match="cutoff_radius"):
+        column_difference_sum([(0.0, 0.0)], [1.0], cutoff_radius=radius, tolerance=tolerance)
+    # coincident sites return before any sum, but not before the check
+    with pytest.raises(ValueError, match="cutoff_radius"):
+        kappa_sq(0.0, cutoff_radius=radius, tolerance=tolerance)
