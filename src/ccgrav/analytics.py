@@ -157,7 +157,8 @@ def integral_I(separation: float, *, rel_tol: float = 1e-3) -> float:
     r = (s + 2 - D) / D, from ln(2/D) to 60 past max(ln(2/D), 0), where the
     dropped tail is below 1e-25 relative.  Converged when tightening the
     tolerance by 4x moves the result by less than ``rel_tol``; raises
-    QuadratureError otherwise.
+    QuadratureError otherwise, and OverflowError when I(D) exceeds the
+    float range (from D of about 1.4e307 on).
     """
     D = float(separation)
     check_positive("separation must be finite and nonnegative", D, allow_zero=True)
@@ -175,7 +176,13 @@ def integral_I(separation: float, *, rel_tol: float = 1e-3) -> float:
         integral = adaptive_simpson(
             lambda y: _two_centre_integrand(y, D), lo, hi, tol, points=marks
         )
-        return D * (8.0 * math.pi * integral)  # 8 pi D alone overflows first
+        value = D * (8.0 * math.pi * integral)  # 8 pi D alone overflows first
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"I(D) overflows the float range at separation {D:g} (it grows "
+                f"like 4 pi D)"
+            )
+        return value
 
     # the size of I / (8 pi D): D / 18 as D -> 0, above pi / 16 from D* on
     tol = 0.2 * rel_tol * min(D / 18.0, math.pi / 16.0)

@@ -21,7 +21,12 @@ import sys
 import numpy as np
 
 from . import analytics, bounds
-from .dynamics import AncillaOscillator, NoiseGenerator, generator_residual
+from .dynamics import (
+    ANCILLA_LEAK_TOL,
+    AncillaOscillator,
+    NoiseGenerator,
+    generator_residual,
+)
 from .errors import CcgravError
 from .fock import FockBasis
 from .lattice import CouplingKernel, LatticeSpec
@@ -99,7 +104,13 @@ PARAM_SPECS: dict[str, dict[str, tuple]] = {
         "tau": (float, 1e-3, "largest step duration"),
         "halvings": (int, 3, "number of tau halvings"),
         "xi": (float, 1.0, "measurement strength"),
-        "levels": (int, 24, "ancilla truncation"),
+        "levels": (
+            int,
+            24,
+            "ancilla oscillator levels: the truncation whose top two levels the "
+            f"leak guard checks (exit 3 when more than {ANCILLA_LEAK_TOL:g} of "
+            "the population would reach them)",
+        ),
         "site": (int, 0, "lattice site the circuit acts on"),
     },
     "sweep": {

@@ -20,6 +20,25 @@ pointer (variance 1/2 per quadrature) produces back-action (xi/2) dn^2,
 matching the generator, and so that the conditioned kick, which reads the
 just-written record at half weight, emulates the pair term at full strength.
 
+The circuit is evaluated in closed form.  n_j and O_j are diagonal in the
+occupation basis, so for each basis state a the product U2 U1 displaces the
+ancilla vacuum to the coherent state
+
+    gamma_a = sqrt(xi tau) n_a - i sqrt(tau / xi) O_a,   |gamma_a|^2 = lambda_a,
+
+times the phase exp(-i tau n_a O_a).  Tracing the ancilla out multiplies
+each matrix element by the overlap of two coherent states:
+
+    rho_ab -> rho_ab exp(-i tau (n_a O_a - n_b O_b)) <gamma_b|gamma_a>,
+    <gamma_b|gamma_a> = exp(-(lambda_a + lambda_b)/2 + gamma_a conj(gamma_b)).
+
+The factor is a Gram matrix times phases, so the map is completely positive
+by construction, and it costs O(dim^2) whatever the ancilla truncation.  The
+ancilla's photon number in state a is Poisson with mean lambda_a; the
+truncation guard bounds the population a ``levels``-level oscillator would
+push into its top two levels by the Poisson tail and raises
+``TruncationOverflowError`` above ``ANCILLA_LEAK_TOL``.
+
 Since every jump operator is diagonal in the occupation basis, the summed
 generator acts elementwise: rho_ab decays at a rate set by the squared
 differences of the n and O diagonals between the states a and b.  The
@@ -38,7 +57,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     PositivityError,
@@ -61,7 +79,9 @@ class AncillaOscillator:
     """Truncated harmonic oscillator with dimensionless canonical X, P.
 
     [X, P] = i holds exactly below the top truncated level; the ground state
-    has zero means and variances 1/2 in both quadratures.
+    has zero means and variances 1/2 in both quadratures.  ``circuit_step``
+    uses only ``levels``, the truncation its leak guard checks; the matrices
+    build the dense system x ancilla circuit when one is wanted.
     """
 
     levels: int = 24
@@ -200,27 +220,39 @@ def generator_apply(
     return out
 
 
-def _circuit_unitaries(gen: NoiseGenerator, j: int, tau: float, anc: AncillaOscillator):
-    occ = np.asarray(gen.basis.occupations[:, j], dtype=float)
-    fbk = np.asarray(gen.feedback_diagonals[:, j], dtype=float)
-    u1 = expm(-1j * math.sqrt(2.0 * gen.xi * tau) * np.kron(np.diag(occ), anc.momentum))
-    u2 = expm(-1j * math.sqrt(2.0 * tau / gen.xi) * np.kron(np.diag(fbk), anc.position))
-    return u2 @ u1
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) for an anti-Hermitian matrix A, from the eigendecomposition of
+    the Hermitian iA = V diag(w) V+ as V diag(exp(-i w)) V+.
+
+    Raises ValueError unless A is square and finite and iA is Hermitian
+    within HERMITICITY_TOL.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expm needs a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("expm needs a finite matrix")
+    h = 1j * a
+    if np.abs(h - h.conj().T).max(initial=0.0) > HERMITICITY_TOL:
+        raise ValueError("expm needs an anti-Hermitian matrix")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _apply_circuit(rho, gen, j, tau, anc):
-    u = _circuit_unitaries(gen, j, tau, anc)
-    joint = np.kron(rho, anc.vacuum_projector)
-    out = u @ joint @ u.conj().T
-    d, nf = gen.dim, anc.levels
-    out4 = out.reshape(d, nf, d, nf)
-    leak = float(np.einsum("anan->", out4[:, nf - 2 :, :, nf - 2 :]).real)
-    if leak > ANCILLA_LEAK_TOL:
-        raise TruncationOverflowError(
-            f"population {leak:.2e} in the top two ancilla levels; raise the "
-            f"truncation (levels={nf}) or shrink tau"
-        )
-    return np.einsum("anbn->ab", out4)
+def _ancilla_leak_bound(lam: np.ndarray, levels: int) -> np.ndarray:
+    """Upper bound on P[Poisson(lam) >= m], m = levels - 2, per entry.
+
+    The tail sum is at most pmf(m) (m + 1) / (m + 1 - lam), a geometric
+    series in lam / (m + 1), for lam < m + 1, and one otherwise.
+    """
+    m = float(levels - 2)
+    bound = np.ones_like(lam)
+    inside = lam < m + 1.0
+    mean = lam[inside]
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives pmf 0
+        log_pmf = m * np.log(mean) - mean - math.lgamma(m + 1.0)
+    bound[inside] = np.minimum(np.exp(log_pmf) * (m + 1.0) / (m + 1.0 - mean), 1.0)
+    return bound
 
 
 def circuit_step(
@@ -234,13 +266,22 @@ def circuit_step(
 ) -> np.ndarray:
     """One measure-and-feedback stage at site j, ancilla traced out.
 
-    Implements Tr_anc[U2 U1 (rho x |vac><vac|) U1+ U2+] with dense matrix
-    exponentials on the joint space.  Occupation-diagonal states are exact
-    fixed points.  ``validate=False`` skips the density-matrix checks so the
-    linear map can be probed on non-states (Choi reconstruction).
+    Evaluates Tr_anc[U2 U1 (rho x |vac><vac|) U1+ U2+] in closed form: each
+    element rho_ab is multiplied by exp(-i tau (n_a O_a - n_b O_b)) times the
+    coherent-state overlap <gamma_b|gamma_a>, with gamma_a = sqrt(xi tau) n_a
+    - i sqrt(tau / xi) O_a (see the module docstring).  Occupation-diagonal
+    states are exact fixed points.
+
+    ``anc`` sets only the truncation the guard checks: with m = levels - 2,
+    the population sum_a |rho_aa| P[Poisson(|gamma_a|^2) >= m] that a
+    truncated oscillator would push into its top two levels is bounded by the
+    geometric Poisson tail, and ``TruncationOverflowError`` is raised when
+    the bound exceeds ``ANCILLA_LEAK_TOL`` or a displacement is not finite.
+    ``tau`` must be finite and nonnegative (ValueError).  ``validate=False``
+    skips the density-matrix checks so the linear map can be probed on
+    non-states (Choi reconstruction).
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    check_positive("tau must be finite and nonnegative", tau, allow_zero=True)
     if not 0 <= j < gen.num_sites:
         raise ValueError("site index out of range")
     rho = np.asarray(rho, dtype=complex)
@@ -250,7 +291,33 @@ def circuit_step(
         _validate_density_matrix(rho)
     if anc is None:
         anc = AncillaOscillator()
-    return _apply_circuit(rho, gen, j, tau, anc)
+
+    occ = gen.basis.occupations[:, j]
+    fbk = gen.feedback_diagonals[:, j]
+    # gamma = x - i y; an overflow here is caught by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = math.sqrt(tau * gen.xi) * occ
+        y = math.sqrt(tau / gen.xi) * fbk
+        lam = x * x + y * y
+    if not np.isfinite(lam).all():
+        raise TruncationOverflowError(
+            "an ancilla displacement is beyond the float range; shrink tau"
+        )
+    leak = float(np.abs(np.diagonal(rho)) @ _ancilla_leak_bound(lam, anc.levels))
+    if leak > ANCILLA_LEAK_TOL:
+        raise TruncationOverflowError(
+            f"population up to {leak:.2e} in the top two ancilla levels; raise "
+            f"the truncation (levels={anc.levels}) or shrink tau"
+        )
+    # <gamma_b|gamma_a> written as exp(-|gamma_a - gamma_b|^2 / 2 + i Im(gamma_a
+    # conj(gamma_b))), so the diagonal factor is exactly one
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    pair = tau * occ * fbk
+    phase = (x[:, None] * y[None, :] - y[:, None] * x[None, :]) - (
+        pair[:, None] - pair[None, :]
+    )
+    return rho * np.exp(-0.5 * (dx * dx + dy * dy) + 1j * phase)
 
 
 def circuit_sweep(
@@ -267,8 +334,7 @@ def circuit_sweep(
     The optional Hamiltonian acts once per sweep (after the site loop); site
     ordering and Hamiltonian placement only matter at second order in tau.
     """
-    if anc is None:
-        anc = AncillaOscillator()
+    check_positive("tau must be finite and nonnegative", tau, allow_zero=True)
     out = np.asarray(rho, dtype=complex)
     if validate:
         _validate_density_matrix(out)
@@ -291,7 +357,11 @@ def generator_residual(
     tau: float,
     anc: AncillaOscillator | None = None,
 ) -> float:
-    """Trace norm of circuit_step(rho) - (rho + tau L_j(rho)); scales as tau^2."""
+    """Trace norm of circuit_step(rho) - (rho + tau L_j(rho)); scales as tau^2.
+
+    ``tau`` must be finite and nonnegative (ValueError).
+    """
+    check_positive("tau must be finite and nonnegative", tau, allow_zero=True)
     stepped = circuit_step(rho, j, gen, tau, anc)
     linear = np.asarray(rho, dtype=complex) + tau * gen.site_apply(
         np.asarray(rho, dtype=complex), j

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from ccgrav.errors import QuadratureError
+from ccgrav.dynamics import ANCILLA_LEAK_TOL, expm
+from ccgrav.errors import QuadratureError, TruncationOverflowError
 from ccgrav.lattice_sums import _radial_tail
 from ccgrav.quadrature import adaptive_simpson
 
@@ -64,6 +65,28 @@ def choi_matrix(channel, dim):
             block = channel(e)
             out[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] += block
     return out
+
+
+def dense_circuit_step(rho, j, gen, tau, anc):
+    """One circuit stage on the dense system x ancilla space: the truncated
+    oscillator starts in its vacuum, U1 = exp(-i sqrt(2 xi tau) n_j P) and
+    U2 = exp(-i sqrt(2 tau / xi) O_j X) act (eigendecomposition exponentials
+    of the Hermitian kron generators), and the ancilla is traced out.
+    Raises TruncationOverflowError when more than ANCILLA_LEAK_TOL of the
+    population reaches the top two ancilla levels (oracle for the
+    closed-form ``circuit_step`` and its guard)."""
+    occ = np.diag(gen.basis.occupations[:, j]).astype(complex)
+    fbk = np.diag(gen.feedback_diagonals[:, j]).astype(complex)
+    u1 = expm(-1j * math.sqrt(2.0 * gen.xi * tau) * np.kron(occ, anc.momentum))
+    u2 = expm(-1j * math.sqrt(2.0 * tau / gen.xi) * np.kron(fbk, anc.position))
+    u = u2 @ u1
+    joint = u @ np.kron(rho, anc.vacuum_projector) @ u.conj().T
+    d, nf = gen.dim, anc.levels
+    joint = joint.reshape(d, nf, d, nf)
+    leak = float(np.einsum("anan->", joint[:, nf - 2 :, :, nf - 2 :]).real)
+    if leak > ANCILLA_LEAK_TOL:
+        raise TruncationOverflowError(f"population {leak:.2e} in the top two ancilla levels")
+    return np.einsum("anbn->ab", joint)
 
 
 def adaptive_tail(pts, weights, centre, radius, tol):

@@ -112,6 +112,13 @@ def test_integral_small_separation_limit(D):
     assert integral_I(D) == pytest.approx(4 * math.pi * D * D / 9, rel=1e-3)
 
 
+def test_integral_overflow_is_named():
+    # I(D) ~ 4 pi D passes the float range near D = 1.4e307
+    assert math.isfinite(integral_I(1.4e307))
+    with pytest.raises(OverflowError, match="overflows"):
+        integral_I(1.7e308)
+
+
 def test_integral_doubling_ratio_trends_to_two():
     r1 = integral_I(20.0) / integral_I(10.0)
     r2 = integral_I(40.0) / integral_I(20.0)

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ccgrav
 from ccgrav import asymptotic_lower_bound
@@ -215,17 +219,24 @@ def test_non_finite_result_is_numerical_failure(args, capsys):
     assert "error" in json.loads(err)
 
 
+def run_python(args):
+    """Run ``python args`` in a fresh interpreter that imports this ccgrav."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccgrav.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def run_fresh(args):
     """Run the CLI in a fresh interpreter, so that a numpy warning would
     reach stderr."""
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ccgrav.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-m", "ccgrav.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    return run_python(["-m", "ccgrav.cli", *args])
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python(["-c", "import ccgrav, sys; print('scipy' in sys.modules)"])
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_overflowing_separation_writes_one_json_record():
@@ -259,6 +270,14 @@ def test_integral_at_huge_separation_is_near_its_asymptote(capsys):
     code, out, _ = run(["integral", "--D", "1e300"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["value"] == pytest.approx(4 * math.pi * 1e300, rel=1e-3)
+
+
+def test_integral_overflow_is_one_numerical_record():
+    proc = run_fresh(["integral", "--D", "1.7e308"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    [record] = proc.stderr.splitlines()
+    assert json.loads(record)["error"]["kind"] == "OverflowError"
 
 
 def test_back_to_back_runs_leak_no_state(tmp_path, capsys):
@@ -332,3 +351,88 @@ def test_missing_required_parameter(capsys):
 def test_unknown_flag_is_schema_error(capsys):
     code, _, _ = run(["heat", "--mass", "1", "--cutoff", "1e-13", "--nope", "1"], capsys)
     assert code == 2
+
+
+# --- the exit contract over drawn runs ----------------------------------------
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# a float value or the flag left out
+FLOAT_OR_NONE = st.one_of(st.none(), ANY_FLOAT, st.floats(1e-3, 1e3))
+
+
+@st.composite
+def cli_runs(draw):
+    """argv for one kappa, integral or circuit-check run, every value given
+    as --flag=value so that negative numbers reach the parser as values."""
+    command = draw(st.sampled_from(["kappa", "integral", "circuit-check"]))
+    if command == "kappa":
+        # radii in (40, 1023.5] are valid but cost seconds to minutes, so the
+        # drawn valid radii stop at 40
+        radius = st.one_of(
+            st.none(), st.floats(0.5, 40.0), st.floats(max_value=0.5), st.floats(min_value=1023.5)
+        )
+        params = {
+            "D": draw(st.one_of(ANY_FLOAT, st.floats(0.0, 30.0))),
+            "radius": draw(radius),
+            "tolerance": draw(FLOAT_OR_NONE),
+            "scale": draw(FLOAT_OR_NONE),
+            "spacing": draw(FLOAT_OR_NONE),
+        }
+    elif command == "integral":
+        # rel_tol stops at 1e-8: tighter targets at tiny D take seconds
+        params = {
+            "D": draw(ANY_FLOAT),
+            "rel-tol": draw(st.one_of(
+                st.none(), st.floats(1e-8, 1.0), st.floats(max_value=0.0),
+                st.sampled_from([math.nan, math.inf]),
+            )),
+        }
+    else:
+        params = {
+            "sites": draw(st.one_of(st.none(), st.integers(-1, 5))),
+            "particles": draw(st.one_of(st.none(), st.integers(-1, 4))),
+            "tau": draw(FLOAT_OR_NONE),
+            "halvings": draw(st.one_of(st.none(), st.integers(-2, 40))),
+            "xi": draw(FLOAT_OR_NONE),
+            "levels": draw(st.one_of(st.none(), st.integers(-2, 10**6), st.integers(min_value=10**6))),
+            "site": draw(st.one_of(st.none(), st.integers(-1, 5))),
+        }
+    argv = [command] + [f"--{k}={v!r}" for k, v in params.items() if v is not None]
+    fmt = draw(st.sampled_from([None, "json", "csv"]))
+    return argv + ([f"--format={fmt}"] if fmt else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_runs())
+@example(["kappa", "--D", "5", "--radius", "1e300"])
+@example(["kappa", "--D", "5", "--radius", "-3"])
+@example(["kappa", "--D", "1e300", "--radius", "1e300"])
+@example(["integral", "--D", "1e300"])
+@example(["integral", "--D", "1.7e308"])
+@example(["circuit-check", "--tau", "2", "--levels", "6"])
+def test_every_run_keeps_the_exit_contract(argv):
+    """Exit 0 with parseable JSON or CSV on stdout, or exit 2 or 3 with one
+    JSON error record on stderr; a warning counts as a broken contract,
+    since a fresh process would print it to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if out.startswith("{"):
+            assert "result" in json.loads(out)
+        else:
+            header, *rows = [line.split(",") for line in out.splitlines()]
+            assert header[-1] == "config_hash"
+            for row in rows:
+                assert len(row) == len(header)
+                assert all(math.isfinite(float(v)) for v in row[:-1])
+    else:
+        assert code in (2, 3)
+        assert out == ""
+        [record] = err.splitlines()
+        error = json.loads(record)["error"]
+        assert set(error) == {"kind", "message"}

@@ -25,7 +25,13 @@ from ccgrav import (
     kinetic_hamiltonian,
     trace_norm,
 )
-from helpers import double_commutator_generator, monomial_matrix, random_density
+from ccgrav import dynamics
+from helpers import (
+    dense_circuit_step,
+    double_commutator_generator,
+    monomial_matrix,
+    random_density,
+)
 
 
 def two_site_setup(xi=1.0):
@@ -227,6 +233,96 @@ def test_circuit_truncation_overflow_guard():
     small = AncillaOscillator(6)
     with pytest.raises(TruncationOverflowError):
         circuit_step(plus_state(), 0, gen, 2.0, small)
+
+
+@pytest.mark.parametrize("sector", [(2, 1), (3, 2), (4, 3)], ids=str)
+def test_circuit_step_matches_dense_oracle(sector):
+    sites, particles = sector
+    rng = np.random.default_rng(sites * 10 + particles)
+    basis = FockBasis(sites, particles)
+    kernel = CouplingKernel(LatticeSpec.chain(sites))
+    anc = AncillaOscillator()
+    worst = 0.0
+    for xi in (0.5, 1.0, 2.0):
+        gen = NoiseGenerator(basis, kernel, xi)
+        for tau in (1e-3, 1e-2, 5e-2):
+            rho = random_density(rng, basis.dim)
+            j = int(rng.integers(sites))
+            diff = circuit_step(rho, j, gen, tau, anc) - dense_circuit_step(rho, j, gen, tau, anc)
+            worst = max(worst, float(np.abs(diff).max()))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("sector", [(2, 1), (3, 2), (4, 3)], ids=str)
+def test_circuit_factor_is_positive_semidefinite(sector):
+    # the uniform superposition has every element 1 / dim, so its image is
+    # the elementwise factor over dim
+    sites, particles = sector
+    basis = FockBasis(sites, particles)
+    kernel = CouplingKernel(LatticeSpec.chain(sites))
+    uniform = np.full((basis.dim, basis.dim), 1.0 / basis.dim, dtype=complex)
+    for xi in (0.5, 1.0, 2.0):
+        gen = NoiseGenerator(basis, kernel, xi)
+        for tau in (1e-3, 1e-2, 5e-2, 0.2):
+            for j in range(sites):
+                factor = basis.dim * circuit_step(uniform, j, gen, tau)
+                assert np.max(np.abs(factor - factor.conj().T)) < 1e-15
+                assert np.linalg.eigvalsh(factor).min() >= -1e-12
+
+
+@pytest.mark.parametrize("step", [circuit_step, dense_circuit_step], ids=["closed", "dense"])
+def test_truncation_guard_on_production_and_oracle(step):
+    _, _, gen = two_site_setup()
+    with pytest.raises(TruncationOverflowError):
+        step(plus_state(), 0, gen, 2.0, AncillaOscillator(6))
+    out = step(plus_state(), 0, gen, 1e-3, AncillaOscillator(24))
+    assert abs(np.trace(out) - 1.0) < 1e-12
+
+
+def test_leak_bound_exceeds_poisson_tail():
+    lam = np.array([0.0, 1e-3, 0.5, 2.0, 3.9, 4.0, 4.5, 5.0, 30.0])
+    for levels in (6, 10, 24):
+        m = levels - 2
+        bound = dynamics._ancilla_leak_bound(lam, levels)
+        for mean, b in zip(lam, bound):
+            head = sum(math.exp(-mean) * mean**k / math.factorial(k) for k in range(m))
+            assert b >= 1.0 - head - 1e-15
+            assert b <= 1.0
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_circuit_functions_reject_bad_tau(tau):
+    _, _, gen = two_site_setup()
+    for call in (
+        lambda: circuit_step(None, 0, gen, tau),
+        lambda: circuit_sweep(None, gen, tau),
+        lambda: generator_residual(None, 0, gen, tau),
+    ):
+        with pytest.raises(ValueError, match="tau"):
+            call()
+
+
+def test_expm_of_anti_hermitian_matrix():
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    theta = 0.7
+    u = dynamics.expm(-1j * theta * sigma_x)
+    expected = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * sigma_x
+    assert np.max(np.abs(u - expected)) < 1e-15
+    h = random_density(np.random.default_rng(3), 6)
+    u = dynamics.expm(-1j * h)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < 1e-13
+    assert np.max(np.abs(u @ u - dynamics.expm(-2j * h))) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
+     np.array([[math.inf, 0.0], [0.0, 0.0]]), np.ones(3)],
+    ids=["hermitian", "non-normal", "infinite", "vector"],
+)
+def test_expm_rejects_non_anti_hermitian_input(matrix):
+    with pytest.raises(ValueError):
+        dynamics.expm(matrix)
 
 
 def test_circuit_rejects_malformed_states():
