@@ -28,12 +28,13 @@ import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .errors import QuadratureError, check_positive
-from .lattice import HBAR, CouplingKernel, LatticeSpec
+from .lattice import HBAR, CouplingKernel, LatticeSpec, feedback_coupling
 from .lattice_sums import check_cutoff, column_difference_sum
 from .quadrature import adaptive_simpson
 
 DEFAULT_CUTOFF_RADIUS = 60.0
 DEFAULT_TOLERANCE = 1e-3
+MIN_REL_TOL = 1e-11  # the tightest rel_tol integral_I accepts
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,15 @@ def integral_I(separation: float, *, rel_tol: float = 1e-3) -> float:
     dropped tail is below 1e-25 relative.  Converged when tightening the
     tolerance by 4x moves the result by less than ``rel_tol``; raises
     QuadratureError otherwise, and OverflowError when I(D) exceeds the
-    float range (from D of about 1.4e307 on).
+    float range (from D of about 1.4e307 on).  ``rel_tol`` below
+    ``MIN_REL_TOL`` = 1e-11 raises ValueError: 1e-11 converges from D = 1e-300
+    to 1.4e307, tighter targets fall below the rounding of the integrand.
     """
     D = float(separation)
     check_positive("separation must be finite and nonnegative", D, allow_zero=True)
     check_positive("rel_tol must be positive and finite", rel_tol)
+    if rel_tol < MIN_REL_TOL:
+        raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:g}, got {rel_tol:g}")
     if D == 0.0:
         return 0.0
 
@@ -210,13 +215,20 @@ def asymptotic_lower_bound(separation: float) -> float:
     return 0.5 * math.pi**2 * float(separation)
 
 
+def noise_rate(xi, sum_c_sq, sum_w_sq):
+    """Back-action plus feedback noise rate (xi/2) sum_l c_l^2 + sum_l w_l^2 / (2 xi),
+    c_l and w_l the changes of site l's occupation and feedback; elementwise."""
+    return 0.5 * xi * sum_c_sq + sum_w_sq / (2.0 * xi)
+
+
 def dephasing_rate(kappa_squared: float, xi: float) -> float:
-    """Coherence decay rate xi + kappa^2 / (2 xi) at measurement strength xi."""
+    """Coherence decay rate xi + kappa^2 / (2 xi) at measurement strength xi:
+    ``noise_rate`` for one particle moved between two sites (sum c^2 = 2)."""
     check_positive("measurement strength must be positive and finite", xi)
     check_positive(
         "kappa^2 must be finite and nonnegative", kappa_squared, allow_zero=True
     )
-    return xi + kappa_squared / (2.0 * xi)
+    return noise_rate(xi, 2.0, kappa_squared)
 
 
 def optimal_xi(kappa_squared: float) -> tuple[float, float]:
@@ -266,16 +278,15 @@ def hopping_damping_rate(i: int, j: int, xi: float, kernel: CouplingKernel) -> f
 
     Same closed form as the dephasing rate, with kappa^2 the finite-lattice
     sum of squared feedback-column differences; the feedback seen at site l
-    omits the diagonal entry chi_ll, matching the noise generator exactly.
+    omits chi_ll (``lattice.feedback_coupling``), matching the generator exactly.
     """
     if i == j:
         raise ValueError("hopping damping is defined for distinct sites")
+    if not (0 <= i < kernel.num_sites and 0 <= j < kernel.num_sites):
+        raise ValueError("site index out of range")
     check_positive("measurement strength must be positive and finite", xi)
-    chi = kernel.matrix
-    c = np.zeros(kernel.num_sites)
-    c[j] += 1.0
-    c[i] -= 1.0
-    w = chi @ c - np.diag(chi) * c
+    fb = feedback_coupling(kernel)
+    w = fb[:, j] - fb[:, i]
     return dephasing_rate(float(w @ w), xi)
 
 

@@ -63,6 +63,7 @@ def _round12(value):
 # Parameter tables: name -> (python type, default or REQUIRED, help).
 _REQUIRED = object()
 
+_REL_TOL_HELP = f"relative convergence target, at least {analytics.MIN_REL_TOL:g}"
 PARAM_SPECS: dict[str, dict[str, tuple]] = {
     "bounds": {
         "preset": (str, None, "scenario preset: molecule, bec or earth"),
@@ -81,7 +82,7 @@ PARAM_SPECS: dict[str, dict[str, tuple]] = {
     },
     "integral": {
         "D": (float, _REQUIRED, "dimensionless separation"),
-        "rel_tol": (float, 1e-3, "relative convergence target"),
+        "rel_tol": (float, 1e-3, _REL_TOL_HELP),
     },
     "dephase": {
         "D": (float, None, "pair separation in units of the spacing"),
@@ -118,7 +119,7 @@ PARAM_SPECS: dict[str, dict[str, tuple]] = {
         "grid": ("floatlist", _REQUIRED, "comma-separated grid for the swept parameter"),
         "kappa_sq": (float, None, "fixed kappa^2 (quantity=rate)"),
         "mass": (float, None, "mass in kg (quantity=heating)"),
-        "rel_tol": (float, 1e-3, "relative convergence target (quantity=integral)"),
+        "rel_tol": (float, 1e-3, _REL_TOL_HELP + " (quantity=integral)"),
     },
 }
 
@@ -128,15 +129,16 @@ CSV_COMMANDS = {"circuit-check", "sweep"}
 @functools.lru_cache(maxsize=None)  # parsing leaves no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ccgrav", description=__doc__)
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["json", "csv"], help="output format")
     sub = parser.add_subparsers(dest="command")
-    for command, spec in PARAM_SPECS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
+    commands = [sub.add_parser(command) for command in PARAM_SPECS]
+    # run options go before or after the command; the command's copies leave
+    # a value given before it alone, and a value after it wins
+    for p, default in [(parser, None)] + [(p, argparse.SUPPRESS) for p in commands]:
+        add = functools.partial(p.add_argument, default=default)
+        add("--config", help="JSON config file; flags override its values")
+        add("--output", help="output path (default: stdout)")
+        add("--format", choices=["json", "csv"], help="output format")
+    for p, spec in zip(commands, PARAM_SPECS.values()):
         for name, (kind, default, help_text) in spec.items():
             flag = "--" + name.replace("_", "-")
             if kind == "floatlist":

@@ -43,9 +43,10 @@ Since every jump operator is diagonal in the occupation basis, the summed
 generator acts elementwise: rho_ab decays at a rate set by the squared
 differences of the n and O diagonals between the states a and b.  The
 Heisenberg-picture eigenrate on a normal-ordered monomial has a closed form
-(``adjoint_coefficient``); note that the feedback column seen at site l
-omits chi_ll, a finite-separation correction that matters on small lattices
-even though it vanishes relative to the total at large separations.
+(``adjoint_coefficient``).  Every rate is ``analytics.noise_rate``, and the
+feedback column seen at site l omits chi_ll (``lattice.feedback_coupling``), a
+finite-separation correction that matters on small lattices even though it
+vanishes relative to the total at large separations.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .analytics import noise_rate
 from .errors import (
     PositivityError,
     StepSizeError,
@@ -65,7 +67,7 @@ from .errors import (
     check_positive,
 )
 from .fock import FockBasis, OperatorMatrix
-from .lattice import HBAR, CouplingKernel
+from .lattice import HBAR, CouplingKernel, feedback_coupling
 from .lattice_sums import column_difference_sum
 
 HERMITICITY_TOL = 1e-10
@@ -144,9 +146,7 @@ class NoiseGenerator:
     @cached_property
     def feedback_diagonals(self) -> np.ndarray:
         """(dim, num_sites) diagonal of O_j = sum_{k != j} chi_jk n_k per state."""
-        occ = self.basis.occupations
-        chi = self.kernel.matrix
-        diag = occ @ chi - occ * np.diag(chi)[None, :]
+        diag = self.basis.occupations @ feedback_coupling(self.kernel)
         diag.flags.writeable = False
         return diag
 
@@ -157,8 +157,7 @@ class NoiseGenerator:
         fbk = self.feedback_diagonals
         docc = occ[:, None, :] - occ[None, :, :]
         dfbk = fbk[:, None, :] - fbk[None, :, :]
-        gamma = 0.5 * self.xi * (docc**2).sum(axis=-1)
-        gamma += (0.5 / self.xi) * (dfbk**2).sum(axis=-1)
+        gamma = noise_rate(self.xi, (docc**2).sum(axis=-1), (dfbk**2).sum(axis=-1))
         gamma.flags.writeable = False
         return gamma
 
@@ -168,7 +167,7 @@ class NoiseGenerator:
         fbk = self.feedback_diagonals[:, j]
         docc = occ[:, None] - occ[None, :]
         dfbk = fbk[:, None] - fbk[None, :]
-        return 0.5 * self.xi * docc**2 + (0.5 / self.xi) * dfbk**2
+        return noise_rate(self.xi, docc**2, dfbk**2)
 
     def site_apply(self, rho: np.ndarray, j: int) -> np.ndarray:
         """Exact first-order action of one circuit stage at site j.
@@ -397,63 +396,41 @@ def adjoint_coefficient(
     valid at large separations; only that variant is invariant under adding
     a constant to every chi entry.
     """
-    js = [int(s) for s in create_sites]
-    iss = [int(s) for s in annihilate_sites]
+    if site_mode not in ("lattice", "infinite"):
+        raise ValueError("site_mode must be 'lattice' or 'infinite'")
+    js = np.asarray(create_sites, dtype=int)
+    iss = np.asarray(annihilate_sites, dtype=int)
     if len(js) != len(iss):
         raise ValueError("creation and annihilation index lists must have equal length")
-    for s in js + iss:
-        if not 0 <= s < gen.num_sites:
-            raise ValueError("site index out of range")
-
-    counts: dict[int, float] = {}
-    for s in js:
-        counts[s] = counts.get(s, 0.0) + 1.0
-    for s in iss:
-        counts[s] = counts.get(s, 0.0) - 1.0
-    counts = {s: c for s, c in counts.items() if c != 0.0}
-    measurement_part = -0.5 * gen.xi * sum(c * c for c in counts.values())
-    if not counts:
+    n = gen.num_sites
+    if ((js < 0) | (js >= n)).any() or ((iss < 0) | (iss >= n)).any():
+        raise ValueError("site index out of range")
+    c = (np.bincount(js, minlength=n) - np.bincount(iss, minlength=n)).astype(float)
+    if not c.any():
         return 0.0
 
     chi = gen.kernel.matrix
-    c_vec = np.zeros(gen.num_sites)
-    for s, c in counts.items():
-        c_vec[s] = c
-
+    fb = feedback_coupling(gen.kernel)
     if site_mode == "lattice":
-        w = chi @ c_vec
-        if exclude_self_coupling:
-            w = w - np.diag(chi) * c_vec
-        return measurement_part - (0.5 / gen.xi) * float(w @ w)
-
-    if site_mode != "infinite":
-        raise ValueError("site_mode must be 'lattice' or 'infinite'")
+        w = (fb if exclude_self_coupling else chi) @ c
+        return -noise_rate(gen.xi, float(c @ c), float(w @ w))
 
     lattice = gen.kernel.lattice
-    a = lattice.spacing
-    unit = gen.kernel.scale / a  # chi column differences in rate units
-    points, weights = [], []
-    coords = {}
-    for s, c in counts.items():
-        pos = lattice.integer_coordinates[s].astype(float)
-        pos3 = np.zeros(3)
-        pos3[: pos.shape[0]] = pos
-        points.append(tuple(pos3))
-        weights.append(c)
-        coords[s] = pos3
+    unit = gen.kernel.scale / lattice.spacing  # chi column differences in rate units
+    support = np.flatnonzero(c)
+    points = np.zeros((support.size, 3))
+    points[:, : lattice.dimension] = lattice.integer_coordinates[support]
     raw_sum, _bound = column_difference_sum(
-        points, weights, cutoff_radius=cutoff_radius, tolerance=tolerance
+        points, c[support], cutoff_radius=cutoff_radius, tolerance=tolerance
     )
+    sum_w_sq = unit**2 * raw_sum
     if exclude_self_coupling:
-        # The exclusion changes only the finitely many l with c_l != 0:
-        # w_l = -(unit) (v_l - c_l) instead of -(unit) v_l.
-        for s, c in counts.items():
-            v_l = 0.0
-            for s2, c2 in counts.items():
-                dist = float(np.linalg.norm(coords[s] - coords[s2]))
-                v_l += c2 / (dist + 1.0)
-            raw_sum += (v_l - c) ** 2 - v_l**2
-    return measurement_part - (0.5 / gen.xi) * unit**2 * raw_sum
+        # The exclusion changes w_l only at the sources, where the kernel's own
+        # chi (entries -unit / (d + 1)) gives w_l without and with chi_ll.
+        near = np.ix_(support, support)
+        kept, full = fb[near] @ c[support], chi[near] @ c[support]
+        sum_w_sq += float(kept @ kept - full @ full)
+    return -noise_rate(gen.xi, float(c @ c), sum_w_sq)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import HBAR, CouplingKernel, LatticeSpec
+from .lattice import HBAR, CouplingKernel, LatticeSpec, feedback_coupling
 
 
 def _compositions(total: int, parts: int):
@@ -172,11 +172,8 @@ def interaction_hamiltonian(basis: FockBasis, kernel: CouplingKernel) -> Operato
     """
     if kernel.num_sites != basis.num_sites:
         raise ValueError("kernel and basis are built over different lattices")
-    chi = kernel.matrix
     occ = basis.occupations
-    pair = np.einsum("aj,jk,ak->a", occ, chi, occ) - np.einsum(
-        "aj,j->a", occ**2, np.diag(chi)
-    )
+    pair = np.einsum("aj,jk,ak->a", occ, feedback_coupling(kernel), occ)
     return OperatorMatrix.wrap(np.diag(HBAR * pair), "interaction")
 
 

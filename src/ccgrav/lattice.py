@@ -184,6 +184,14 @@ class CouplingKernel:
         return float(self.matrix[i, j])
 
 
+def feedback_coupling(kernel: CouplingKernel) -> np.ndarray:
+    """``kernel.matrix`` with its diagonal set to zero: the feedback
+    O_l = sum_{k != l} chi_lk n_k seen at site l omits the self-coupling chi_ll."""
+    fb = np.array(kernel.matrix, dtype=float)
+    np.fill_diagonal(fb, 0.0)
+    return fb
+
+
 def softened_potential(kernel: CouplingKernel, i: int, j: int) -> float:
     """Pair interaction energy -G m^2 / (2 (d_ij + a)) = hbar * chi_ij.
 

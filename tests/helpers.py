@@ -55,6 +55,37 @@ def double_commutator_generator(matrix, gen):
     return out
 
 
+def excluded_feedback(chi, counts):
+    """w_l = sum over k != l of chi_lk c_k by a plain double loop (oracle for
+    the self-coupling exclusion)."""
+    n = len(counts)
+    w = np.zeros(n)
+    for l in range(n):
+        for k in range(n):
+            if k != l:
+                w[l] += chi[l, k] * counts[k]
+    return w
+
+
+def pairwise_self_coupling_correction(coords, creates, annihilates):
+    """sum over sources l of (v_l - c_l)^2 - v_l^2, v_l = sum_k c_k / (d_lk + 1),
+    one pair distance at a time (oracle for the self-coupling correction of the
+    infinite-lattice eigenrate, in units of (scale / spacing)^2)."""
+    counts = {}
+    for s in creates:
+        counts[s] = counts.get(s, 0.0) + 1.0
+    for s in annihilates:
+        counts[s] = counts.get(s, 0.0) - 1.0
+    counts = {s: c for s, c in counts.items() if c != 0.0}
+    total = 0.0
+    for s, c in counts.items():
+        v = 0.0
+        for s2, c2 in counts.items():
+            v += c2 / (float(np.linalg.norm(coords[s] - coords[s2])) + 1.0)
+        total += (v - c) ** 2 - v**2
+    return total
+
+
 def choi_matrix(channel, dim):
     """Choi matrix sum_ab |a><b| (x) channel(|a><b|); PSD iff the map is CP."""
     out = np.zeros((dim * dim, dim * dim), dtype=complex)

@@ -28,6 +28,7 @@ from ccgrav.bounds import (
     heating_bound,
     interferometry_bound,
 )
+from ccgrav.analytics import MIN_REL_TOL
 from ccgrav.constants import CODATA, PhysicalConstants
 from ccgrav.quadrature import simpson_refined
 from helpers import cylindrical_integral, two_centre_integral_mp
@@ -119,6 +120,12 @@ def test_integral_overflow_is_named():
         integral_I(1.7e308)
 
 
+def test_integral_rel_tol_has_a_floor():
+    assert integral_I(1e300, rel_tol=MIN_REL_TOL) == pytest.approx(4 * math.pi * 1e300, rel=1e-6)
+    with pytest.raises(ValueError, match="at least 1e-11"):
+        integral_I(1.0, rel_tol=MIN_REL_TOL / 2)
+
+
 def test_integral_doubling_ratio_trends_to_two():
     r1 = integral_I(20.0) / integral_I(10.0)
     r2 = integral_I(40.0) / integral_I(20.0)
@@ -195,6 +202,9 @@ def test_hopping_damping_matches_generator_eigenrate():
     assert -adjoint_coefficient([1], [4], gen) == pytest.approx(rate, rel=1e-13)
     with pytest.raises(ValueError):
         hopping_damping_rate(2, 2, 1.0, kernel)
+    for i, j in ((-1, 4), (4, 5)):  # -1 used to wrap to site 4: the same site
+        with pytest.raises(ValueError):
+            hopping_damping_rate(i, j, 1.0, kernel)
 
 
 def test_momentum_variance_report():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -176,6 +177,8 @@ def test_sweep_as_json(capsys):
 def test_csv_rejected_for_scalar_commands(capsys):
     code, _, _ = run(["heat", "--mass", "1", "--cutoff", "1e-13", "--format", "csv"], capsys)
     assert code == 2
+    code, _, _ = run(["--format", "csv", "kappa", "--D", "3"], capsys)
+    assert code == 2
 
 
 def test_deterministic_output_files(tmp_path, capsys):
@@ -193,8 +196,14 @@ def test_deterministic_output_files(tmp_path, capsys):
         ["heat", "--mass", "nan", "--cutoff", "1e-15"],
         ["sweep", "--quantity", "integral", "--grid", "1,-1"],
         ["kappa", "--D", "nan"],
+        ["integral", "--D", "1e-300", "--rel-tol", "1e-15"],
     ],
-    ids=["heat-nan-mass", "sweep-negative-separation", "kappa-nan-separation"],
+    ids=[
+        "heat-nan-mass",
+        "sweep-negative-separation",
+        "kappa-nan-separation",
+        "integral-rel-tol-below-floor",
+    ],
 )
 def test_bad_numbers_are_schema_errors(args, capsys):
     code, out, err = run(args, capsys)
@@ -343,6 +352,63 @@ def test_config_schema_version_checked(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_options_before_the_command_are_kept(tmp_path, capsys):
+    target = tmp_path / "o.json"
+    code, out, _ = run(["--output", str(target), "kappa", "--D", "3"], capsys)
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["command"] == "kappa"
+    code, out, _ = run(
+        ["--format", "json", "sweep", "--quantity", "rate", "--kappa-sq", "2", "--grid", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["rows"] == [{"rate": 2.0, "xi": 1.0}]
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps({"schema_version": 1, "params": {"mass": 1.44e-25, "cutoff": 1e-13}})
+    )
+    code, out, _ = run(["--config", str(config), "heat"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["cutoff_m"] == 1e-13
+
+
+def test_run_option_given_twice_takes_the_later_value(tmp_path, capsys):
+    sweep = ["sweep", "--quantity", "rate", "--kappa-sq", "2", "--grid", "1"]
+    code, out, _ = run(["--format", "csv"] + sweep + ["--format", "json"], capsys)
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run(["--format", "json"] + sweep + ["--format", "csv"], capsys)
+    assert code == 0 and out.startswith("xi,rate,config_hash")
+    first, later = tmp_path / "first.json", tmp_path / "later.json"
+    code, _, _ = run(
+        ["--output", str(first), "kappa", "--D", "3", "--output", str(later)], capsys
+    )
+    assert code == 0 and later.exists() and not first.exists()
+
+
+def _readme_cli_section() -> str:
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for line in _readme_cli_section().splitlines()
+    if line.startswith("ccgrav ")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
+    """Every ``ccgrav`` line of the README's command-line section runs clean,
+    with the section's JSON example as ``run.json``."""
+    config = _readme_cli_section().split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+
+
 def test_missing_required_parameter(capsys):
     code, _, _ = run(["kappa"], capsys)
     assert code == 2
@@ -379,11 +445,12 @@ def cli_runs(draw):
             "spacing": draw(FLOAT_OR_NONE),
         }
     elif command == "integral":
-        # rel_tol stops at 1e-8: tighter targets at tiny D take seconds
+        # valid rel_tol reaches down to its floor, 1e-11
         params = {
             "D": draw(ANY_FLOAT),
             "rel-tol": draw(st.one_of(
-                st.none(), st.floats(1e-8, 1.0), st.floats(max_value=0.0),
+                st.none(), st.floats(1e-11, 1.0), st.floats(max_value=0.0),
+                st.floats(0.0, 1e-11, exclude_min=True, exclude_max=True),
                 st.sampled_from([math.nan, math.inf]),
             )),
         }
@@ -410,6 +477,7 @@ def cli_runs(draw):
 @example(["integral", "--D", "1e300"])
 @example(["integral", "--D", "1.7e308"])
 @example(["circuit-check", "--tau", "2", "--levels", "6"])
+@example(["integral", "--D", "1e-300", "--rel-tol", "1e-15"])
 def test_every_run_keeps_the_exit_contract(argv):
     """Exit 0 with parseable JSON or CSV on stdout, or exit 2 or 3 with one
     JSON error record on stderr; a warning counts as a broken contract,

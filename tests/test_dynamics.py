@@ -20,6 +20,7 @@ from ccgrav import (
     evolve,
     generator_apply,
     generator_residual,
+    hopping_damping_rate,
     interaction_hamiltonian,
     kappa_sq,
     kinetic_hamiltonian,
@@ -29,7 +30,9 @@ from ccgrav import dynamics
 from helpers import (
     dense_circuit_step,
     double_commutator_generator,
+    excluded_feedback,
     monomial_matrix,
+    pairwise_self_coupling_correction,
     random_density,
 )
 
@@ -196,6 +199,52 @@ def test_adjoint_column_difference_form_is_shift_invariant():
     assert abs(moved_x - base_x) > 1e-6
 
 
+def test_self_coupling_exclusion_matches_double_loop_in_3d():
+    lattice = LatticeSpec(dimension=3, extents=(2, 2, 2))
+    kernel = CouplingKernel(lattice)
+    basis = FockBasis(8, 2)
+    xi = 0.8
+    gen = NoiseGenerator(basis, kernel, xi)
+    chi = kernel.matrix
+    fbk = np.array([excluded_feedback(chi, occ) for occ in basis.occupations])
+    np.testing.assert_allclose(gen.feedback_diagonals, fbk, rtol=1e-12, atol=0)
+    energy = np.einsum("al,al->a", basis.occupations, fbk)
+    pair = np.diag(interaction_hamiltonian(basis, kernel).matrix).real
+    np.testing.assert_allclose(pair, energy, rtol=1e-12, atol=0)
+    for creates, annihilates in (([0], [7]), ([1, 1], [2, 4]), ([0, 6], [3, 5])):
+        c = np.zeros(8)
+        np.add.at(c, creates, 1.0)
+        np.add.at(c, annihilates, -1.0)
+        w = excluded_feedback(chi, c)
+        expected = -(0.5 * xi * (c @ c) + (w @ w) / (2 * xi))
+        assert adjoint_coefficient(creates, annihilates, gen) == pytest.approx(
+            expected, rel=1e-12
+        )
+    for i, j in ((0, 7), (2, 5), (3, 1)):
+        c = np.zeros(8)
+        c[j], c[i] = 1.0, -1.0
+        w = excluded_feedback(chi, c)
+        assert hopping_damping_rate(i, j, xi, kernel) == pytest.approx(
+            xi + (w @ w) / (2 * xi), rel=1e-12
+        )
+
+
+def test_infinite_self_coupling_correction_matches_pairwise_loop():
+    lattice = LatticeSpec(dimension=3, extents=(2, 2, 2))
+    xi = 0.8
+    gen = NoiseGenerator(FockBasis(8, 2), CouplingKernel(lattice), xi)
+    infinite = dict(site_mode="infinite", cutoff_radius=30.0)
+    for creates, annihilates in (([0, 0], [3, 6]), ([0, 6], [3, 5])):
+        kept = adjoint_coefficient(creates, annihilates, gen, **infinite)
+        full = adjoint_coefficient(
+            creates, annihilates, gen, exclude_self_coupling=False, **infinite
+        )
+        correction = pairwise_self_coupling_correction(
+            lattice.integer_coordinates, creates, annihilates
+        )
+        assert kept - full == pytest.approx(-correction / (2 * xi), rel=1e-12)
+
+
 def test_adjoint_validates_input():
     _, _, gen = two_site_setup()
     with pytest.raises(ValueError):
@@ -204,6 +253,8 @@ def test_adjoint_validates_input():
         adjoint_coefficient([2], [0], gen)
     with pytest.raises(ValueError):
         adjoint_coefficient([0], [1], gen, site_mode="nonsense")
+    with pytest.raises(ValueError):  # a vanishing monomial does not skip the check
+        adjoint_coefficient([1], [1], gen, site_mode="nonsense")
 
 
 # --- circuit -----------------------------------------------------------------
