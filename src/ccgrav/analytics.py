@@ -285,8 +285,8 @@ def hopping_damping_rate(i: int, j: int, xi: float, kernel: CouplingKernel) -> f
     if not (0 <= i < kernel.num_sites and 0 <= j < kernel.num_sites):
         raise ValueError("site index out of range")
     check_positive("measurement strength must be positive and finite", xi)
-    fb = feedback_coupling(kernel)
-    w = fb[:, j] - fb[:, i]
+    fb = feedback_coupling(kernel, (j, i))
+    w = fb[:, 0] - fb[:, 1]
     return dephasing_rate(float(w @ w), xi)
 
 

@@ -41,4 +41,6 @@ class PositivityError(CcgravError):
 
 
 class StepSizeError(CcgravError):
-    """Time integration failed its step-halving convergence check."""
+    """Time evolution cannot vouch for its result: the step is too coarse for
+    the proven error bound, or a snapshot is not finite, off unit trace, or
+    not positive."""

@@ -184,11 +184,19 @@ class CouplingKernel:
         return float(self.matrix[i, j])
 
 
-def feedback_coupling(kernel: CouplingKernel) -> np.ndarray:
-    """``kernel.matrix`` with its diagonal set to zero: the feedback
-    O_l = sum_{k != l} chi_lk n_k seen at site l omits the self-coupling chi_ll."""
-    fb = np.array(kernel.matrix, dtype=float)
-    np.fill_diagonal(fb, 0.0)
+def feedback_coupling(kernel: CouplingKernel, sources=None) -> np.ndarray:
+    """Columns ``sources`` of ``kernel.matrix`` (all columns when None) with
+    the self-coupling set to zero: the feedback O_l = sum_{k != l} chi_lk n_k
+    seen at site l omits chi_ll.
+
+    Column k of the result is chi[:, sources[k]] with its entry at row
+    sources[k] zeroed, so ``feedback_coupling(kernel, S) @ c[S]`` is the
+    excluded feedback of counts supported on the distinct sites S without
+    copying the whole matrix.
+    """
+    cols = np.arange(kernel.num_sites) if sources is None else np.asarray(sources, dtype=int)
+    fb = np.asarray(kernel.matrix, dtype=float)[:, cols]  # a copy
+    fb[cols, np.arange(cols.size)] = 0.0
     return fb
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from ccgrav.dynamics import ANCILLA_LEAK_TOL, expm
 from ccgrav.errors import QuadratureError, TruncationOverflowError
+from ccgrav.lattice import HBAR
 from ccgrav.lattice_sums import _radial_tail
 from ccgrav.quadrature import adaptive_simpson
 
@@ -96,6 +97,45 @@ def choi_matrix(channel, dim):
             block = channel(e)
             out[a * dim : (a + 1) * dim, b * dim : (b + 1) * dim] += block
     return out
+
+
+def rk4_trajectory(rho0, rhs, total_time, steps):
+    """States at steps + 1 uniform times by the classical fixed-step RK4
+    scheme on d rho / dt = rhs(rho) (oracle for ``evolve``)."""
+    h = total_time / steps
+    states = [rho0.copy()]
+    rho = rho0.copy()
+    for _ in range(steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(rho.copy())
+    return np.array(states)
+
+
+def taylor_reference(gamma, hamiltonian, rho0, times, order=30):
+    """exp(t L) rho0 at each of ``times`` for L(rho) = -gamma * rho -
+    i [H, rho] / hbar, by a degree-``order`` Taylor series on substeps with
+    |dt| (max gamma + 2 ||H||_2 / hbar) <= 1/8, both commutator products
+    formed (oracle for the bounded path of ``evolve``)."""
+    norm = float(gamma.max()) + 2.0 * float(np.linalg.norm(hamiltonian, 2)) / HBAR
+    out = [np.asarray(rho0, dtype=complex)]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        substeps = max(1, math.ceil(8.0 * (t1 - t0) * norm))
+        dt = (t1 - t0) / substeps
+        rho = out[-1]
+        for _ in range(substeps):
+            term = total = rho
+            for k in range(1, order + 1):
+                term = (dt / k) * (
+                    -gamma * term - 1j / HBAR * (hamiltonian @ term - term @ hamiltonian)
+                )
+                total = total + term
+            rho = total
+        out.append(rho)
+    return np.array(out)
 
 
 def dense_circuit_step(rho, j, gen, tau, anc):

@@ -385,14 +385,14 @@ def test_run_option_given_twice_takes_the_later_value(tmp_path, capsys):
     assert code == 0 and later.exists() and not first.exists()
 
 
-def _readme_cli_section() -> str:
+def _readme_section(title: str) -> str:
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 README_COMMANDS = [
     shlex.split(line, comments=True)[1:]
-    for line in _readme_cli_section().splitlines()
+    for line in _readme_section("Command line").splitlines()
     if line.startswith("ccgrav ")
 ]
 
@@ -401,12 +401,20 @@ README_COMMANDS = [
 def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
     """Every ``ccgrav`` line of the README's command-line section runs clean,
     with the section's JSON example as ``run.json``."""
-    config = _readme_cli_section().split("```json\n", 1)[1].split("```", 1)[0]
+    config = _readme_section("Command line").split("```json\n", 1)[1].split("```", 1)[0]
     (tmp_path / "run.json").write_text(config)
     monkeypatch.chdir(tmp_path)
     code, _, err = run(argv, capsys)
     assert code == 0
     assert err == ""
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    code = _readme_section("Library example").split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    # a header and one row per snapshot of the 600-step run
+    assert len((tmp_path / "coherence.csv").read_text().splitlines()) == 602
 
 
 def test_missing_required_parameter(capsys):

@@ -27,6 +27,7 @@ from ccgrav import (
     trace_norm,
 )
 from ccgrav import dynamics
+from ccgrav.lattice import feedback_coupling
 from helpers import (
     dense_circuit_step,
     double_commutator_generator,
@@ -34,6 +35,8 @@ from helpers import (
     monomial_matrix,
     pairwise_self_coupling_correction,
     random_density,
+    rk4_trajectory,
+    taylor_reference,
 )
 
 
@@ -245,6 +248,45 @@ def test_infinite_self_coupling_correction_matches_pairwise_loop():
         assert kept - full == pytest.approx(-correction / (2 * xi), rel=1e-12)
 
 
+@pytest.mark.parametrize("extents", [(2, 2, 2), (7, 7, 7)], ids=str)
+def test_feedback_columns_match_the_full_matrix_form(extents):
+    lattice = LatticeSpec(dimension=3, extents=extents)
+    kernel = CouplingKernel(lattice)
+    n = lattice.num_sites
+    full = np.array(kernel.matrix)
+    np.fill_diagonal(full, 0.0)
+    assert np.array_equal(feedback_coupling(kernel), full)
+    xi = 0.7
+    gen = NoiseGenerator(FockBasis(n, 1), kernel, xi)
+    rng = np.random.default_rng(n)
+    for count in (1, 2, 3, 4):
+        sites = rng.choice(n, size=2 * count, replace=False)
+        creates, annihilates = list(sites[:count]), list(sites[count:])
+        c = np.zeros(n)
+        np.add.at(c, creates, 1.0)
+        np.add.at(c, annihilates, -1.0)
+        w = full @ c
+        expected = -(0.5 * xi * (c @ c) + (w @ w) / (2 * xi))
+        assert adjoint_coefficient(creates, annihilates, gen) == pytest.approx(
+            expected, rel=1e-12
+        )
+        # infinite mode: the exclusion's correction on the sources' block
+        infinite = dict(site_mode="infinite", cutoff_radius=20.0)
+        kept = adjoint_coefficient(creates, annihilates, gen, **infinite)
+        raw = adjoint_coefficient(
+            creates, annihilates, gen, exclude_self_coupling=False, **infinite
+        )
+        block = np.ix_(sites, sites)
+        w_kept, w_raw = full[block] @ c[sites], kernel.matrix[block] @ c[sites]
+        correction = -(w_kept @ w_kept - w_raw @ w_raw) / (2 * xi)
+        assert kept - raw == pytest.approx(correction, rel=1e-12)
+        i, j = sites[:2]
+        w = full[:, j] - full[:, i]
+        assert hopping_damping_rate(i, j, xi, kernel) == pytest.approx(
+            xi + (w @ w) / (2 * xi), rel=1e-12
+        )
+
+
 def test_adjoint_validates_input():
     _, _, gen = two_site_setup()
     with pytest.raises(ValueError):
@@ -442,6 +484,34 @@ def test_evolution_config_validation():
         EvolutionConfig(total_time=-1.0, steps=10)
     with pytest.raises(ValueError):
         EvolutionConfig(total_time=1.0, steps=0)
+    for bad_time in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="total_time"):
+            EvolutionConfig(total_time=bad_time, steps=10)
+    for bad_steps in (True, False, "3", 2.0, 2.5, None):
+        with pytest.raises(ValueError, match="steps"):
+            EvolutionConfig(total_time=1.0, steps=bad_steps)
+    assert EvolutionConfig(total_time=0.0, steps=np.int64(3)).steps == 3
+
+
+@pytest.mark.parametrize("with_noise", [True, False], ids=["noise", "no-noise"])
+def test_evolve_validates_hamiltonian(with_noise):
+    lattice = LatticeSpec.chain(3)
+    basis = FockBasis(3, 1)
+    gen = NoiseGenerator(basis, CouplingKernel(lattice), 1.0) if with_noise else None
+    h = kinetic_hamiltonian(basis, lattice).matrix
+    rho0 = np.eye(3, dtype=complex) / 3
+    cfg = EvolutionConfig(total_time=1.0, steps=50)
+    nan, inf = h.copy(), h.copy()
+    nan[0, 1] = nan[1, 0] = math.nan
+    inf[2, 2] = math.inf
+    skew = h.copy()
+    skew[0, 2] += 1e-6
+    # a vector, non-square, wrong dimension, NaN, infinite, non-Hermitian
+    for matrix in (np.ones(3), np.ones((3, 2)), np.eye(2), nan, inf, skew):
+        with pytest.raises(ValueError):
+            evolve(rho0, gen, matrix, cfg)
+    skew[0, 2] = h[0, 2] + 1e-12  # inside HERMITICITY_TOL
+    evolve(rho0, gen, skew, cfg)
 
 
 def test_unitary_evolution_preserves_purity():
@@ -453,6 +523,8 @@ def test_unitary_evolution_preserves_purity():
     traj = evolve(rho0, None, h, EvolutionConfig(total_time=2.0, steps=400))
     assert np.max(np.abs(traj.purities() - 1.0)) < 1e-8
     assert np.max(np.abs(traj.traces() - 1.0)) < 1e-8
+    still = evolve(rho0, None, h, EvolutionConfig(total_time=0.0, steps=3))
+    assert all(np.array_equal(state, rho0) for state in still.states)
 
 
 def test_noise_only_coherence_decay_is_exponential():
@@ -475,14 +547,123 @@ def test_diagonal_state_is_stationary():
 
 
 def test_too_coarse_step_raises():
+    # noise only: the exact path has no step error, so one step is enough
     _, _, gen = two_site_setup()
-    with pytest.raises(StepSizeError):
-        evolve(plus_state(), gen, None, EvolutionConfig(total_time=5.0, steps=1))
+    traj = evolve(plus_state(), gen, None, EvolutionConfig(total_time=5.0, steps=1))
+    assert np.array_equal(traj.states[-1], plus_state() * np.exp(-5.0 * gen.dephasing_rates))
+    # a kinetic Hamiltonian with h ||L'|| > 1/2 is refused, naming the fix
+    lattice, basis, gen = two_site_setup()
+    h = kinetic_hamiltonian(basis, lattice).matrix
+    energies = np.linalg.eigvalsh(h)
+    norm = 0.5 * gen.dephasing_rates.max() + energies[-1] - energies[0]
+    need = math.ceil(2.0 * 5.0 * norm)
+    with pytest.raises(StepSizeError, match=f"at least {need}$"):
+        evolve(plus_state(), gen, h, EvolutionConfig(total_time=5.0, steps=need - 1))
+    evolve(plus_state(), gen, h, EvolutionConfig(total_time=5.0, steps=need))
+    # without the check the run goes ahead; the snapshots are still checked
+    loose = EvolutionConfig(total_time=5.0, steps=need - 1, convergence_check=False)
+    assert evolve(plus_state(), gen, h, loose).states.shape == (need, 2, 2)
+
+
+def _sector_setup(sites, particles, xi=0.8):
+    lattice = LatticeSpec.chain(sites)
+    kernel = CouplingKernel(lattice)
+    basis = FockBasis(sites, particles)
+    return lattice, kernel, basis, NoiseGenerator(basis, kernel, xi)
+
+
+@pytest.mark.parametrize("sector", [(3, 2), (4, 3)], ids=str)
+@pytest.mark.parametrize("interaction", [False, True], ids=["noise", "noise+interaction"])
+def test_exact_path_matches_closed_form(sector, interaction):
+    _, kernel, basis, gen = _sector_setup(*sector)
+    rho0 = random_density(np.random.default_rng(sum(sector)), basis.dim)
+    gamma = sum(gen.site_rates(j) for j in range(basis.num_sites))
+    energies = np.zeros(basis.dim)
+    h = None
+    if interaction:
+        h = interaction_hamiltonian(basis, kernel)
+        energies = np.diagonal(h.matrix).real
+    omega = energies[:, None] - energies[None, :]
+    traj = evolve(rho0, gen, h, EvolutionConfig(total_time=2.0, steps=100))
+    expected = rho0 * np.exp(
+        -traj.times[:, None, None] * gamma - 1j * traj.times[:, None, None] * omega
+    )
+    assert np.abs(traj.states - expected).max() <= 1e-13
+
+
+def test_bounded_path_error_within_proven_bound():
+    lattice, kernel, basis, gen = _sector_setup(3, 2)
+    h = kinetic_hamiltonian(basis, lattice).matrix + interaction_hamiltonian(basis, kernel).matrix
+    rho0 = random_density(np.random.default_rng(5), basis.dim)
+    gamma = gen.dephasing_rates
+    energies = np.linalg.eigvalsh(h)
+    norm = 0.5 * gamma.max() + energies[-1] - energies[0]
+    total_time = 3.0
+    steps = math.ceil(total_time * norm / 0.45)
+    x = total_time / steps * norm
+    assert 0.4 < x <= 0.45
+    traj = evolve(rho0, gen, h, EvolutionConfig(total_time=total_time, steps=steps))
+    reference = taylor_reference(gamma, h, rho0, traj.times)
+    errors = [trace_norm(s - r) for s, r in zip(traj.states, reference)]
+    assert max(errors) < 1e-8
+    rk4 = rk4_trajectory(rho0, lambda rho: generator_apply(rho, gen, h), total_time, 50 * steps)
+    assert trace_norm(traj.states[-1] - rk4[-1]) < 1e-8
+
+
+@pytest.mark.parametrize("fault", ["nan", "trace", "negative"])
+def test_snapshot_checks_reject_bad_states(fault):
+    rng = np.random.default_rng(17)
+    times = np.linspace(0.0, 1.0, 100)
+    states = np.array([random_density(rng, 4) for _ in times])
+    dynamics._check_snapshots(states, times)
+    k = 70  # in the second chunk of snapshots
+    if fault == "nan":
+        states[k, 1, 2] = math.nan
+    elif fault == "trace":
+        states[k] *= 1.0 + 2e-8
+    else:
+        states[k] = np.diag([1.0 + 2e-7, 0.0, 0.0, -2e-7]).astype(complex)
+    with pytest.raises(StepSizeError, match=f"snapshot {k} "):
+        dynamics._check_snapshots(states, times)
+
+
+def test_snapshot_eigenvalue_floor_is_minus_1e_7():
+    times = np.zeros(1)
+    inside = np.diag([1.0 + 5e-8, 0.0, -5e-8]).astype(complex)[None]
+    dynamics._check_snapshots(inside, times)
+    below = np.diag([1.0 + 1.1e-7, 0.0, -1.1e-7]).astype(complex)[None]
+    with pytest.raises(StepSizeError, match="eigenvalue -1.10e-07"):
+        dynamics._check_snapshots(below, times)
+
+
+def test_evolve_rejects_a_nan_snapshot():
+    # a kernel with a NaN entry makes every decay rate NaN
+    lattice, basis, gen = two_site_setup()
+    broken = _ShiftedKernel(np.full((2, 2), math.nan), 2, lattice)
+    gen = NoiseGenerator(basis, broken, 1.0)
+    with pytest.raises(StepSizeError, match="snapshot 0 .* not finite"):
+        evolve(plus_state(), gen, None, EvolutionConfig(total_time=1.0, steps=10))
 
 
 def test_evolve_requires_generator_or_hamiltonian():
     with pytest.raises(ValueError):
         evolve(plus_state(), None, None, EvolutionConfig(total_time=1.0, steps=10))
+
+
+def test_trajectory_summaries_match_per_snapshot_loops():
+    lattice, kernel, basis, gen = _sector_setup(3, 2)
+    h = kinetic_hamiltonian(basis, lattice)
+    rho0 = random_density(np.random.default_rng(2), basis.dim)
+    traj = evolve(rho0, gen, h, EvolutionConfig(total_time=1.0, steps=70))
+    states = list(traj.states)
+    assert len(states) == 71
+    assert np.array_equal(traj.element(1, 4), np.array([s[1, 4] for s in states]))
+    assert np.array_equal(traj.traces(), np.array([np.trace(s).real for s in states]))
+    assert np.array_equal(traj.purities(), np.array([np.trace(s @ s).real for s in states]))
+    assert np.array_equal(
+        traj.min_eigenvalues(),
+        np.array([np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() for s in states]),
+    )
 
 
 def test_trajectory_csv_export(tmp_path):
