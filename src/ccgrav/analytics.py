@@ -42,10 +42,11 @@ class KappaResult:
     """Converged lattice sum for a squared dephasing frequency.
 
     ``tail_bound`` estimates the relative truncation error left after the
-    continuum tail correction: the largest relative change when the cutoff
-    is lowered to the checkpoint radii of ``column_difference_sum``.  It is
-    a sampled estimate, not a proven bound, and is below ``tolerance``
-    whenever the sum succeeded.
+    continuum tail correction: the largest relative gap between the lattice
+    sum and the continuum integral over a checkpoint shell, that is the
+    largest relative change when the cutoff is lowered to the checkpoint
+    radii of ``column_difference_sum``.  It is a sampled estimate, not a
+    proven bound, and is below ``tolerance`` whenever the sum succeeded.
     """
 
     kappa_sq: float

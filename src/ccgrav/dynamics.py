@@ -201,6 +201,11 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError for a non-finite entry, else PositivityError unless
+    rho is Hermitian with unit trace and positive semidefinite (a NaN would
+    fail none of those comparisons)."""
+    if not np.isfinite(rho).all():
+        raise ValueError("input density matrix has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise PositivityError("input density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:

@@ -17,21 +17,34 @@ the centre and to each source, so columns that agree on all of them are
 evaluated once and weighted by their count (a pair on a lattice axis at
 R = 120 has 3 860 distinct columns out of 45 225).  Sorted by
 distance to the centre, the columns inside each radius form a prefix in
-every plane, so all radii come from one evaluation of the largest.
+every plane, so all radii come from one evaluation of the largest.  When
+every source lies on the centre's z-line (every pair placed along an axis)
+the merged table depends only on the fractional xy part of the centre and
+on R, and a small cache keeps it across calls; other source sets, whose
+placements rarely repeat, build theirs per call.
 
-One rule computes that continuum tail for every source set.  The sources are
+Inversion through the centre c maps plane z onto plane 2 c_z - z with the
+same partial sum at every radius whenever 2c is an integer vector and the
+inversion maps the weighted sources onto plus or minus themselves, as it
+does for every integer pair.  Such sets are summed over the planes with
+z >= c_z only, the planes with z > c_z counted twice.
+
+One rule computes the continuum tail for every source set.  The sources are
 rotated so that the z-axis points at the one farthest from the centroid.
 Each spherical shell is integrated by an n-point Gauss-Legendre rule in
 cos(theta) times a 2n-point trapezoid rule in phi, with n doubling from 8
-until two estimates agree; the radial integral is adaptive Simpson under the
+until two estimates agree; when every rotated source lies on the z-axis the
+integrand does not depend on phi and the trapezoid collapses to one node of
+weight 2 pi.  The tail beyond R is one adaptive Simpson integral under the
 map r = R/(1-t)^2.
 
 The lattice-versus-continuum discrepancy beyond R is estimated by repeating
-the evaluation at several smaller radii, all from one pass over the lattice,
-and reported as the largest relative change.  The sharp cutoff makes that
-discrepancy oscillate with R, so a single smaller radius can land where it
-is as large as at R; several make that unlikely, but the estimate is still
-not a proven bound.
+the evaluation at several smaller checkpoint radii, all from one pass over
+the lattice; each checkpoint's tail is the tail beyond R plus the continuum
+integrals over the shells between it and R.  The estimate is the largest
+relative change.  The sharp cutoff makes that discrepancy oscillate with R,
+so a single smaller radius can land where it is as large as at R; several
+make that unlikely, but the estimate is still not a proven bound.
 """
 
 from __future__ import annotations
@@ -76,6 +89,64 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _column_grid(cx: float, cy: float, rmax: float):
+    """Integer xy columns of the bounding square about (cx, cy) and their
+    squared distances to it, restricted to those within rmax."""
+    xs = np.arange(math.ceil(cx - rmax), math.floor(cx + rmax) + 1, dtype=float)
+    ys = np.arange(math.ceil(cy - rmax), math.floor(cy + rmax) + 1, dtype=float)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    rho2 = (X - cx) ** 2 + (Y - cy) ** 2
+    inside = rho2 <= rmax * rmax
+    return X[inside], Y[inside], rho2[inside]
+
+
+@functools.lru_cache(maxsize=8)
+def _axial_columns(fx: float, fy: float, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct squared xy distances to a centre with fractional xy part
+    (fx, fy), ascending, and how many columns within rmax share each.
+
+    X - cx equals (X - floor(cx)) - fx exactly, so the table is the same
+    for every centre with this fractional part.
+    """
+    _, _, rho2 = _column_grid(fx, fy, rmax)
+    rho2, counts = np.unique(rho2, return_counts=True)
+    multiplicity = counts.astype(float)
+    rho2.flags.writeable = multiplicity.flags.writeable = False  # shared by every caller
+    return rho2, multiplicity
+
+
+def _merged_columns(pts, centre, rmax):
+    """Columns within rmax merged on their squared xy distances to the
+    centre and to each source, sorted by the distance to the centre."""
+    X, Y, rho2 = _column_grid(centre[0], centre[1], rmax)
+    keys = np.array([rho2] + [(X - p[0]) ** 2 + (Y - p[1]) ** 2 for p in pts])
+    keys = keys[:, np.lexsort(keys[::-1])]
+    first = np.ones(keys.shape[1], dtype=bool)
+    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    starts = np.flatnonzero(first)
+    multiplicity = np.diff(starts, append=keys.shape[1]).astype(float)
+    rho2, *src2 = keys[:, starts]
+    return rho2, multiplicity, src2
+
+
+def _inversion_symmetric(pts, weights, centre) -> bool:
+    """True when inversion through the centre maps the lattice onto itself
+    (2 * centre is an integer vector) and the weighted sources onto plus or
+    minus themselves, so v(2 c - l)^2 = v(l)^2 at every lattice point."""
+    twice = 2.0 * centre
+    if not (twice == np.round(twice)).all():
+        return False
+    merged: dict[tuple, float] = {}
+    for p, w in zip(pts.tolist(), weights.tolist()):
+        merged[tuple(p)] = merged.get(tuple(p), 0.0) + w
+    image = {tuple((twice - p).tolist()): w for p, w in merged.items()}
+    return any(
+        image.keys() == merged.keys()
+        and all(image[p] == sign * w for p, w in merged.items())
+        for sign in (1.0, -1.0)
+    )
+
+
 def _core_sums(pts, weights, centre, radii) -> list[float]:
     """Sum of v(l)^2 over integer points with |l - centre| <= R, per radius.
 
@@ -86,55 +157,67 @@ def _core_sums(pts, weights, centre, radii) -> list[float]:
     r2_limits = np.array([R * R for R in radii])
     rmax = radii[-1]
     cx, cy, cz = centre
-    xs = np.arange(math.ceil(cx - rmax), math.floor(cx + rmax) + 1, dtype=float)
-    ys = np.arange(math.ceil(cy - rmax), math.floor(cy + rmax) + 1, dtype=float)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    rho2 = (X - cx) ** 2 + (Y - cy) ** 2
-    inside = rho2 <= r2_limits[-1]
-    X, Y, rho2 = X[inside], Y[inside], rho2[inside]
-    # A column's summands in every plane follow from its squared xy distances
-    # to the centre and to each source; columns that agree on all of them are
-    # merged, sorted by the distance to the centre.
-    keys = np.array([rho2] + [(X - p[0]) ** 2 + (Y - p[1]) ** 2 for p in pts])
-    keys = keys[:, np.lexsort(keys[::-1])]
-    first = np.ones(keys.shape[1], dtype=bool)
-    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    starts = np.flatnonzero(first)
-    multiplicity = np.diff(starts, append=keys.shape[1]).astype(float)
-    rho2, *src2 = keys[:, starts]
+    if (pts[:, :2] == centre[:2]).all():
+        rho2, multiplicity = _axial_columns(
+            float(cx - math.floor(cx)), float(cy - math.floor(cy)), rmax
+        )
+        src2 = [rho2] * len(pts)
+    else:
+        rho2, multiplicity, src2 = _merged_columns(pts, centre, rmax)
+    symmetric = _inversion_symmetric(pts, weights, centre)
+    z_first = math.ceil(cz) if symmetric else math.ceil(cz - rmax)
+    source_z = pts[:, 2].tolist()
 
     totals = [0.0 for _ in radii]
-    for z in range(math.ceil(cz - rmax), math.floor(cz + rmax) + 1):
+    for z in range(z_first, math.floor(cz + rmax) + 1):
+        factor = 2.0 if symmetric and z > cz else 1.0
         # rho2 is ascending, so each radius takes a prefix of the columns
-        ends = np.searchsorted(rho2 + (z - cz) ** 2, r2_limits, side="right")
+        ends = np.searchsorted(rho2 + (z - cz) ** 2, r2_limits, side="right").tolist()
         n = ends[-1]
-        v = np.zeros(n)
-        for s2, p, w in zip(src2, pts, weights):
-            v += w / (np.sqrt(s2[:n] + (z - p[2]) ** 2) + 1.0)
-        v2 = v * v * multiplicity[:n]
+        if n == 0:
+            continue
+        v = None
+        for s2, pz, w in zip(src2, source_z, weights):
+            d = s2[:n] + (z - pz) ** 2
+            np.sqrt(d, out=d)
+            d += 1.0
+            np.divide(w, d, out=d)
+            if v is None:
+                v = d
+            else:
+                v += d
+        v *= v
+        v *= multiplicity[:n]
+        starts = [0, *ends[:-1]]
+        # reduceat reads an empty segment as the element at its start, so
+        # those are skipped below; a start at n would be out of range
+        segments = np.add.reduceat(v, [min(lo, n - 1) for lo in starts]).tolist()
         partial = 0.0
-        for k, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
-            partial += float(v2[lo:hi].sum())
-            totals[k] += partial
+        for k, (lo, hi) in enumerate(zip(starts, ends)):
+            if lo < hi:
+                partial += segments[k]
+            totals[k] += factor * partial
     return totals
 
 
 @functools.lru_cache(maxsize=None)
-def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions (3, 2n^2) and weights of the product rule on the unit
+def _sphere_rule(n: int, axial: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (3, nodes) and weights of the product rule on the unit
     sphere: n-point Gauss-Legendre in cos(theta) times the 2n-point
-    trapezoid in phi."""
+    trapezoid in phi, or for an integrand that does not depend on phi
+    (``axial``) one phi node of weight 2 pi."""
     x, wx = np.polynomial.legendre.leggauss(n)
-    phi = np.arange(2 * n) * (math.pi / n)
+    phi_nodes = 1 if axial else 2 * n
+    phi = np.arange(phi_nodes) * (2.0 * math.pi / phi_nodes)
     s = np.sqrt(1.0 - x * x)
     dirs = np.array(
         [
             np.outer(s, np.cos(phi)).ravel(),
             np.outer(s, np.sin(phi)).ravel(),
-            np.repeat(x, 2 * n),
+            np.repeat(x, phi_nodes),
         ]
     )
-    weights = np.repeat(wx * (math.pi / n), 2 * n)
+    weights = np.repeat(wx * (2.0 * math.pi / phi_nodes), phi_nodes)
     dirs.flags.writeable = weights.flags.writeable = False  # shared by every caller
     return dirs, weights
 
@@ -155,32 +238,25 @@ def _frame(rel: np.ndarray) -> np.ndarray:
     return rel @ np.array([e1, np.cross(e3, e1), e3]).T
 
 
-def _radial_tail(shell, radius, tol):
-    """Integrate r^2 shell(r) from radius to infinity.
+def _tails(pts, weights, centre, radii, tol) -> list[float]:
+    """Continuum integral of v^2 over |u - centre| > R for each ascending
+    radius R, any source set.
 
-    shell decays like 1/r^4, so the mapped integrand under r = R/(1-t)^2
-    falls off like 1/sqrt(r) and is continuous at t = 1.
+    The tail beyond the largest radius is integrated to ``tol`` under the
+    map r = R/(1-t)^2: the shell decays like 1/r^4, so the mapped integrand
+    falls off like 1/sqrt(r) and is continuous at t = 1.  Each smaller
+    radius adds the shells between it and the next one up, integrated in r
+    with shares of ``tol`` in proportion to their widths, so the shells
+    together also get ``tol``.  A shell value at radius r is converged to
+    ``scale / r^4``, with scale chosen so that those errors integrate to at
+    most the interval's tolerance.
     """
-
-    def radial(t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        r = radius / (1.0 - t) ** 2
-        jac = 2.0 * radius / (1.0 - t) ** 3
-        return r * r * shell(r) * jac
-
-    return adaptive_simpson(
-        radial, 0.0, 1.0, tol, points=(0.25, 0.5, 0.75), noise_floor=2.0 * tol
-    )
-
-
-def _tail(pts, weights, centre, radius, tol):
-    """Continuum integral of v^2 over |u - centre| > radius, any source set."""
     rel = _frame(pts - centre)
     sq = (rel * rel).sum(axis=1)[:, None]
+    axial = not rel[:, :2].any()
 
     def on_sphere(r: float, n: int) -> float:
-        dirs, w = _sphere_rule(n)
+        dirs, w = _sphere_rule(n, axial)
         d = rel @ dirs  # (sources, nodes): projections on each direction
         d *= -2.0 * r
         d += r * r + sq  # |r e - p|^2
@@ -189,8 +265,8 @@ def _tail(pts, weights, centre, radius, tol):
         v = weights @ np.reciprocal(d, out=d)
         return float(w @ (v * v))
 
-    def shell(r: float) -> float:
-        shell_tol = tol * radius / r**4  # tracks the 1/r^4 decay of the shell
+    def shell(r: float, scale: float) -> float:
+        shell_tol = scale / r**4  # tracks the 1/r^4 decay of the shell
         n = _SPHERE_NODES_START
         prev = on_sphere(r, n)
         while n < _SPHERE_NODES_MAX:
@@ -204,7 +280,29 @@ def _tail(pts, weights, centre, radius, tol):
             f"{_SPHERE_NODES_MAX} Gauss nodes"
         )
 
-    return _radial_tail(shell, radius, tol)
+    outer = radii[-1]
+
+    def mapped(t: float) -> float:
+        if t >= 1.0:
+            return 0.0
+        r = outer / (1.0 - t) ** 2
+        jac = 2.0 * outer / (1.0 - t) ** 3
+        return r * r * shell(r, tol * outer) * jac
+
+    tail = adaptive_simpson(
+        mapped, 0.0, 1.0, tol, points=(0.25, 0.5, 0.75), noise_floor=2.0 * tol
+    )
+    tails = [tail]
+    for lo, hi in zip(radii[-2::-1], radii[:0:-1]):
+        share = tol * (hi - lo) / (outer - radii[0])
+        scale = tol * lo * hi / (outer - radii[0])  # r^2 scale / r^4 integrates to share
+
+        def radial(r: float, scale=scale) -> float:
+            return r * r * shell(r, scale)
+
+        tail += adaptive_simpson(radial, lo, hi, share, noise_floor=scale / (lo * lo))
+        tails.append(tail)
+    return tails[::-1]
 
 
 def column_difference_sum(
@@ -217,11 +315,13 @@ def column_difference_sum(
     """Evaluate S (module docstring) with an estimate of its truncation error.
 
     Returns ``(value, relative_bound)``.  The estimate is the largest relative
-    change between the full evaluation and the checkpoint evaluations at
-    0.6, 0.7, 0.8 and 0.9 * cutoff_radius (none closer than 6 spacings to a
-    source); it is sampled, not proven.  Raises LatticeSumError when it
-    exceeds ``tolerance`` or the sources do not fit well inside the radius,
-    and ValueError for non-finite points or weights and for a radius or
+    gap between the lattice sum and the continuum integral over a checkpoint
+    shell: the largest relative change between the full evaluation and the
+    evaluations with the cutoff lowered to 0.6, 0.7, 0.8 and
+    0.9 * cutoff_radius (none closer than 6 spacings to a source).  It is
+    sampled, not proven.  Raises LatticeSumError when it exceeds
+    ``tolerance`` or the sources do not fit well inside the radius, and
+    ValueError for non-finite points or weights and for a radius or
     tolerance that ``check_cutoff`` rejects.
     """
     check_cutoff(cutoff_radius, tolerance)
@@ -258,9 +358,8 @@ def column_difference_sum(
     quad_tol = 0.02 * tolerance * scale * max(src_radius, 1.0)
     radii = checkpoints + [cutoff_radius]
     cores = _core_sums(pts, wts, centre, radii)
-    *earlier, value = [
-        core + _tail(pts, wts, centre, r, quad_tol) for core, r in zip(cores, radii)
-    ]
+    tails = _tails(pts, wts, centre, radii, quad_tol)
+    *earlier, value = [core + tail for core, tail in zip(cores, tails)]
     bound = max(abs(value - v) for v in earlier) / max(abs(value), 1e-300)
     if bound > tolerance:
         raise LatticeSumError(

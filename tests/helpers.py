@@ -7,7 +7,6 @@ import numpy as np
 from ccgrav.dynamics import ANCILLA_LEAK_TOL, expm
 from ccgrav.errors import QuadratureError, TruncationOverflowError
 from ccgrav.lattice import HBAR
-from ccgrav.lattice_sums import _radial_tail
 from ccgrav.quadrature import adaptive_simpson
 
 
@@ -207,7 +206,17 @@ def adaptive_tail(pts, weights, centre, radius, tol):
             noise_floor=theta_tol / 4.0,
         )
 
-    return _radial_tail(shell, radius, tol)
+    def radial(t: float) -> float:
+        # r = R / (1 - t)^2 takes [R, inf) to [0, 1); r^2 shell(r) ~ 1/r^2,
+        # so the mapped integrand stays bounded and vanishes at t = 1
+        if t >= 1.0:
+            return 0.0
+        r = radius / (1.0 - t) ** 2
+        return r * r * shell(r) * 2.0 * radius / (1.0 - t) ** 3
+
+    return adaptive_simpson(
+        radial, 0.0, 1.0, tol, points=(0.25, 0.5, 0.75), noise_floor=2.0 * tol
+    )
 
 
 def square_core_sums(pts, weights, centre, radii) -> list[float]:

@@ -432,6 +432,19 @@ def test_circuit_rejects_malformed_states():
         circuit_step(negative, 0, gen, 1e-3, anc)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_state_is_rejected_by_evolve_and_circuit_step(entry):
+    # every Hermiticity, trace and eigenvalue comparison is False for NaN,
+    # so finiteness is checked first
+    _, _, gen = two_site_setup()
+    rho = plus_state()
+    rho[0, 1] = rho[1, 0] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(rho, gen, None, EvolutionConfig(total_time=1.0, steps=10))
+    with pytest.raises(ValueError, match="non-finite"):
+        circuit_step(rho, 0, gen, 1e-3, AncillaOscillator())
+
+
 def test_sweep_matches_summed_generator_to_first_order():
     lattice = LatticeSpec.chain(3)
     basis = FockBasis(3, 1)
