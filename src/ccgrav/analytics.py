@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA, PhysicalConstants
-from .errors import QuadratureError, check_positive
+from .errors import QuadratureError, as_index, check_positive
 from .lattice import HBAR, CouplingKernel, LatticeSpec, feedback_coupling
 from .lattice_sums import check_cutoff, column_difference_sum
 from .quadrature import adaptive_simpson
@@ -280,7 +280,9 @@ def hopping_damping_rate(i: int, j: int, xi: float, kernel: CouplingKernel) -> f
     Same closed form as the dephasing rate, with kappa^2 the finite-lattice
     sum of squared feedback-column differences; the feedback seen at site l
     omits chi_ll (``lattice.feedback_coupling``), matching the generator exactly.
+    ``i`` and ``j`` must be integers (``errors.as_index``); ValueError otherwise.
     """
+    i, j = as_index(i), as_index(j)
     if i == j:
         raise ValueError("hopping damping is defined for distinct sites")
     if not (0 <= i < kernel.num_sites and 0 <= j < kernel.num_sites):

@@ -64,6 +64,7 @@ from .errors import (
     PositivityError,
     StepSizeError,
     TruncationOverflowError,
+    as_index,
     check_positive,
 )
 from .fock import FockBasis, OperatorMatrix
@@ -137,6 +138,8 @@ class NoiseGenerator:
 
     def __post_init__(self):
         check_positive("measurement strength xi must be positive and finite", self.xi)
+        # a subnormal xi passes the test above, but the rates divide by it
+        check_positive("measurement strength xi is too small: 1/xi overflows", 1.0 / self.xi)
         if self.kernel.num_sites != self.basis.num_sites:
             raise ValueError("kernel and basis are built over different lattices")
 
@@ -181,8 +184,12 @@ class NoiseGenerator:
         and feedback noise, and the record-kick cross term
         -i (O_j rho n_j - n_j rho O_j), which cancels in the site sum but
         not stage by stage.  All pieces are diagonal-conditioned, so the
-        action is elementwise.
+        action is elementwise.  ``j`` must be a site index
+        (``errors.as_index``, in range); ValueError otherwise.
         """
+        j = as_index(j)
+        if not 0 <= j < self.num_sites:
+            raise ValueError("site index out of range")
         occ = self.basis.occupations[:, j]
         fbk = self.feedback_diagonals[:, j]
         pair = occ * fbk
@@ -302,6 +309,7 @@ def circuit_step(
     non-states (Choi reconstruction).
     """
     check_positive("tau must be finite and nonnegative", tau, allow_zero=True)
+    j = as_index(j)
     if not 0 <= j < gen.num_sites:
         raise ValueError("site index out of range")
     rho = np.asarray(rho, dtype=complex)
@@ -415,12 +423,14 @@ def adjoint_coefficient(
     bound exceeds ``tolerance``).  Disabling ``exclude_self_coupling`` keeps
     the diagonal chi_ll inside the column differences, the approximation
     valid at large separations; only that variant is invariant under adding
-    a constant to every chi entry.
+    a constant to every chi entry.  Site indices must be integers
+    (``errors.as_index``); a bool, a fractional value or one out of range
+    raises ValueError.
     """
     if site_mode not in ("lattice", "infinite"):
         raise ValueError("site_mode must be 'lattice' or 'infinite'")
-    js = np.asarray(create_sites, dtype=int)
-    iss = np.asarray(annihilate_sites, dtype=int)
+    js = np.array([as_index(s) for s in create_sites], dtype=int)
+    iss = np.array([as_index(s) for s in annihilate_sites], dtype=int)
     if len(js) != len(iss):
         raise ValueError("creation and annihilation index lists must have equal length")
     n = gen.num_sites

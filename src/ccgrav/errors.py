@@ -3,10 +3,13 @@
 Every routine that truncates an infinite object (a quadrature window, a
 lattice sum, an oscillator ladder, a time grid) raises one of these instead
 of silently returning a degraded value.  Inputs out of range, NaN and
-infinity included, are rejected with ``ValueError`` by ``check_positive``.
+infinity included, are rejected with ``ValueError`` by ``check_positive``,
+and site indices that are not integers by ``as_index``.
 """
 
 import math
+import numbers
+import operator
 
 
 def check_positive(message: str, *values: float, allow_zero: bool = False) -> None:
@@ -18,6 +21,25 @@ def check_positive(message: str, *values: float, allow_zero: bool = False) -> No
     for x in values:
         if not (math.isfinite(x) and (x > 0 or (allow_zero and x == 0))):
             raise ValueError(message)
+
+
+def as_index(value) -> int:
+    """``value`` as an int when it is a Python or numpy integer, or a real
+    number with an integral value such as 2.0.
+
+    Raise ValueError for anything else, a bool (an int subclass that would
+    pass as site 0 or 1) and a fractional or non-finite float included, so
+    no site index is ever truncated.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"site index must be an integer, not the bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"site index must be an integer, got {value!r}")
 
 
 class CcgravError(Exception):

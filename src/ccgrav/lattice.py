@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import as_index
 from .quadrature import simpson_refined
 
 HBAR = 1.0  # internal units
@@ -76,7 +77,10 @@ class LatticeSpec:
         return self.integer_coordinates[j] * self.spacing
 
     def index_of(self, integer_vector) -> int:
-        return self._index_map[tuple(int(v) for v in integer_vector)]
+        """Site index of an integer offset vector; ValueError when an entry
+        is not an integer (``errors.as_index``), KeyError when the vector
+        lies outside the block."""
+        return self._index_map[tuple(as_index(v) for v in integer_vector)]
 
     def distance(self, i: int, j: int) -> float:
         delta = self.integer_coordinates[i] - self.integer_coordinates[j]

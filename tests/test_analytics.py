@@ -207,6 +207,16 @@ def test_hopping_damping_matches_generator_eigenrate():
             hopping_damping_rate(i, j, 1.0, kernel)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1.5), (0, "1"), (False, 1)], ids=["fraction", "string", "bool"])
+def test_hopping_damping_rejects_non_integer_sites(i, j):
+    kernel = CouplingKernel(LatticeSpec.chain(3))
+    with pytest.raises(ValueError, match="site index must be an integer"):
+        hopping_damping_rate(i, j, 1.0, kernel)
+    expected = hopping_damping_rate(0, 1, 1.0, kernel)
+    assert hopping_damping_rate(np.int32(0), 1, 1.0, kernel) == expected
+    assert hopping_damping_rate(0, 1.0, 1.0, kernel) == expected
+
+
 def test_momentum_variance_report():
     report = momentum_variance_asymptote(3.0)
     assert report.stated_value == pytest.approx(3 * (2 * math.pi) ** 2, rel=1e-12)

@@ -486,6 +486,7 @@ def cli_runs(draw):
 @example(["integral", "--D", "1.7e308"])
 @example(["circuit-check", "--tau", "2", "--levels", "6"])
 @example(["integral", "--D", "1e-300", "--rel-tol", "1e-15"])
+@example(["circuit-check", "--tau=0.0", "--xi=2.2250738585e-313"])
 def test_every_run_keeps_the_exit_contract(argv):
     """Exit 0 with parseable JSON or CSV on stdout, or exit 2 or 3 with one
     JSON error record on stderr; a warning counts as a broken contract,

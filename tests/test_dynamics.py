@@ -299,6 +299,34 @@ def test_adjoint_validates_input():
         adjoint_coefficient([1], [1], gen, site_mode="nonsense")
 
 
+@pytest.mark.parametrize(
+    "creates, annihilates",
+    [([0.5], [1]), ([True], [1]), ([0], [np.nan])],
+    ids=["fraction", "bool", "nan"],
+)
+def test_adjoint_rejects_non_integer_sites(creates, annihilates):
+    _, _, gen = two_site_setup()
+    with pytest.raises(ValueError, match="site index must be an integer"):
+        adjoint_coefficient(creates, annihilates, gen)
+    # Python and numpy integers and integral floats are accepted
+    expected = adjoint_coefficient([0], [1], gen)
+    assert adjoint_coefficient([np.int64(0)], [1], gen) == expected
+    assert adjoint_coefficient([0.0], [np.float64(1.0)], gen) == expected
+
+
+@pytest.mark.parametrize(
+    "j", [True, 0.5, -1, 2], ids=["bool", "fraction", "negative", "past-the-end"]
+)
+def test_circuit_stage_rejects_bad_site_index(j):
+    _, _, gen = two_site_setup()
+    rho = plus_state()
+    with pytest.raises(ValueError, match="site index"):
+        gen.site_apply(rho, j)
+    with pytest.raises(ValueError, match="site index"):
+        circuit_step(rho, j, gen, 1e-3)
+    np.testing.assert_array_equal(gen.site_apply(rho, 1.0), gen.site_apply(rho, 1))
+
+
 # --- circuit -----------------------------------------------------------------
 
 

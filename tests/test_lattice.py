@@ -27,6 +27,15 @@ def test_site_index_coordinate_bijection():
         assert lat.index_of(lat.integer_coordinates[k]) == k
 
 
+@pytest.mark.parametrize("vector", [(0.7, 0, 0), (np.inf, 0, 0), (True, 0, 0)], ids=str)
+def test_index_of_rejects_non_integer_entries(vector):
+    lat = LatticeSpec(dimension=3, extents=(3, 3, 3))
+    with pytest.raises(ValueError, match="site index must be an integer"):
+        lat.index_of(vector)
+    expected = lat.index_of((1, 0, 0))
+    assert lat.index_of((np.int64(1), 0, 0)) == lat.index_of((1.0, 0, 0)) == expected
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
