@@ -29,6 +29,9 @@ class LatticeSpec:
     Site coordinates are ``spacing * (integer vector)``; the site index runs
     row-major over the integer grid, and index <-> coordinate is a bijection.
     ``si_spacing`` is carried as metadata only and never enters a formula.
+    ``dimension`` and each entry of ``extents`` go through
+    ``errors.as_index``: an integral real such as 2.0 is stored as the int
+    2, and a bool or a fractional value raises ValueError.
     """
 
     dimension: int = 1
@@ -37,11 +40,15 @@ class LatticeSpec:
     si_spacing: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", as_index(self.dimension, "dimension"))
+        object.__setattr__(
+            self, "extents", tuple(as_index(e, "extents entry") for e in self.extents)
+        )
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
         if len(self.extents) != self.dimension:
             raise ValueError("extents must list sites per axis, one entry per axis")
-        if any(int(e) != e or e < 1 for e in self.extents):
+        if any(e < 1 for e in self.extents):
             raise ValueError("extents must be positive integers")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise ValueError("spacing must be positive and finite")

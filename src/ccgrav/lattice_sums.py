@@ -13,21 +13,33 @@ kappa^2(d) being the pair sum of (f_p - f_q)^2; only pairs are ever summed.
 The summand decays only like 1/r^4 with an O(|d|^2) prefactor, so the
 lattice points within a radius R of the pair's midpoint c are summed and
 the rest is replaced by the continuum integral of the same integrand.  The
-lattice pass works on xy columns within R of c's z-line.  A column's summand
-in any plane depends only on its squared xy distances to c and to the two
-sources, so columns that agree on all three are evaluated once and weighted
-by their count (a pair on a lattice axis at R = 120 has 3 860 distinct
-columns out of 45 225).  Sorted by distance to c, the columns inside each
-radius form a prefix in every plane, so all radii come from one evaluation
-of the largest.  For a pair on c's z-line (every pair along an axis) the
-table depends only on the fractional xy part of c and on R, and a small
-cache keeps it.  When 2c is an integer vector, as for every integer pair,
-inversion through c maps the lattice onto itself and swaps the sources, so
-plane 2 c_z - z has the partial sums of plane z: only the planes with
-z >= c_z are summed, those with z > c_z counted twice.  The continuum part
-is taken with the pair on the z-axis at c -+ |d|/2, where the integrand does
-not depend on phi, so each spherical shell gets an n-point Gauss-Legendre
-rule in cos(theta), n doubling from 8 until two estimates agree.
+lattice pass works on xy columns within R of c's z-line.  Sorted by
+distance to c, the columns inside each radius form a prefix in every plane,
+so all radii come from one evaluation of the largest.  When 2c is an
+integer vector, as for every integer pair, inversion through c maps the
+lattice onto itself and swaps the sources, so plane 2 c_z - z has the
+partial sums of plane z: only the planes with z >= c_z are summed, those
+with z > c_z counted twice.
+
+A pair of integer points is summed as the pair at the origin and at
+|q - p|, its components ordered so that a zero or a repeated one lies in xy
+and the odd one out in z.  That moves the lattice points within R of c
+with the pair, so the sum is the same, and a turned or moved copy of a pair
+gives the same bits.  The columns then depend only on whether c's x and y
+are integers or halves and on R, and small caches keep them: for a pair on
+the z-axis merged on their distance to c (3 860 distinct columns out of
+45 225 at R = 120), otherwise one by one and folded over the pair's mirror
+in xy, x -> -x when d_x = 0 and x <-> y when d_x = d_y, which halves them.
+Every squared distance to an integer source is an integer m, so f is read
+from a table of 1/(sqrt(m) + 1) built once per call with the float
+operations of f itself.  A pair with a fractional coordinate is summed
+where it lies: its columns are merged per call on their squared xy
+distances to c and to both sources (kept in a cache only for a pair on c's
+z-line), and f is evaluated at every point.  The continuum part is taken
+with the pair on the z-axis at c -+ |d|/2, where the integrand does not
+depend on phi, so each spherical shell gets an n-point Gauss-Legendre rule
+in cos(theta), n doubling from 8 until two estimates agree; the 8- and
+16-point rules are evaluated in one pass over their concatenated nodes.
 
 A single pair (every ``kappa_sq``) is cut off sharply at R = cutoff_radius:
 the tail beyond R is one adaptive Simpson integral under r = R/(1-t)^2, and
@@ -75,6 +87,7 @@ _WINDOW_CHECK = 0.8  # a windowed term is also summed at this fraction of its ra
 _WINDOW_REACH = 20.0  # a windowed term's radius is 2.5 |d| / 2 plus this, at most R
 _WINDOW_QUAD_SHARE = 0.01  # windowed tails get this share of a pair's tolerance
 MAX_GRID_SIDE = 2048  # ceiling on the 2R + 1 xy columns per row of the core pass
+_REACH_STEP = 64  # integer column tables are built to a multiple of this radius
 
 
 def check_cutoff(cutoff_radius: float, tolerance: float) -> None:
@@ -129,6 +142,55 @@ def _axial_columns(fx: float, fy: float, rmax: float) -> tuple[np.ndarray, np.nd
     return rho2, multiplicity
 
 
+@functools.lru_cache(maxsize=4)  # one per parity of the midpoint's x and y
+def _integer_columns(fx: float, fy: float, reach: int):
+    """Integer xy columns within ``reach`` of the point (fx, fy): their
+    offsets X, Y as int32 and their squared distances rho2 to the point,
+    ascending in rho2.
+
+    The midpoint of an integer pair has fractional parts fx, fy in
+    {0, 1/2}, and the column (X + floor(cx), Y + floor(cy)) lies at the same
+    squared distance rho2 from it, exactly.  So one table serves every
+    integer pair of that parity whose radius is at most ``reach``; the
+    columns within a smaller radius are a prefix.
+    """
+    X, Y, rho2 = _column_grid(fx, fy, reach)
+    order = np.argsort(rho2, kind="stable")
+    X, Y, rho2 = X[order].astype(np.int32), Y[order].astype(np.int32), rho2[order]
+    for a in (X, Y, rho2):
+        a.flags.writeable = False  # shared by every caller
+    return X, Y, rho2
+
+
+def _folded_columns(d, rmax):
+    """Columns within rmax of the midpoint of the pair (0, 0, 0), d, for d
+    an integer vector in ``_canonical_offset`` order and off the z-axis:
+    their squared xy distances rho2 to the midpoint, ascending, their
+    multiplicities, and their squared xy distances to each source as ints.
+
+    When d_x = 0 the pair's xy projection is symmetric under x -> -x, and
+    when d_x = d_y under x <-> y, so the summand is too: the columns on one
+    side of the mirror are kept with multiplicity 2, those on it with 1,
+    and the other side is dropped.
+    """
+    a, b, _ = d
+    reach = _REACH_STEP * math.ceil(rmax / _REACH_STEP)
+    X, Y, rho2 = _integer_columns(a % 2 / 2, b % 2 / 2, reach)
+    n = int(np.searchsorted(rho2, rmax * rmax, side="right"))
+    X, Y, rho2 = X[:n], Y[:n], rho2[:n]
+    multiplicity = np.ones(n)
+    if a == 0 or a == b:
+        # the table is symmetric under the mirror: floor(c_x) = 0 when
+        # d_x = 0, and floor(c_x) = floor(c_y) when d_x = d_y
+        side = X if a == 0 else X - Y
+        keep = side >= 0
+        multiplicity = np.where(side[keep] > 0, 2.0, 1.0)
+        X, Y, rho2 = X[keep], Y[keep], rho2[keep]
+    X = X.astype(np.intp) + a // 2
+    Y = Y.astype(np.intp) + b // 2
+    return rho2, multiplicity, [X * X + Y * Y, (X - a) ** 2 + (Y - b) ** 2]
+
+
 def _merged_columns(pair, centre, rmax):
     """Columns within rmax merged on their squared xy distances to the
     centre and to each source of the pair, sorted by the distance to the
@@ -152,6 +214,17 @@ def _inversion_symmetric(centre) -> bool:
     return bool((twice == np.round(twice)).all())
 
 
+def _canonical_offset(pair) -> tuple[int, int, int] | None:
+    """For a pair of integer points, |q - p| permuted so that a zero or a
+    repeated component lies in xy and the odd one out in z: every cube
+    symmetry and translation of the pair gives the same vector.  None when
+    a source is not an integer point."""
+    if not (pair == np.round(pair)).all():
+        return None
+    s0, s1, s2 = sorted(abs(int(v)) for v in (pair[1] - pair[0]).tolist())
+    return (s1, s2, s0) if s1 == s2 else (s0, s1, s2)
+
+
 def _window(s):
     """C-infinity step in s = r / R, for s in (1/2, 1]: it falls from 1 at
     s = 1/2 to 0 at s = 1 as 1 / (1 + exp(1/(1 - t) - 1/t)), t = 2 s - 1
@@ -161,30 +234,64 @@ def _window(s):
         return 1.0 / (1.0 + np.exp(1.0 / (1.0 - t) - 1.0 / t))
 
 
-def _core_sums(pair, centre, radii, windowed=False) -> list[float]:
-    """Sum of (f_p - f_q)^2 over integer points with |l - centre| <= R, per
-    radius, for the two rows p, q of ``pair``; ``windowed`` weights each
-    point by ``_window(|l - centre| / R)`` instead.
+def _core_sums(pair, radii, windowed=False) -> list[float]:
+    """Sum of (f_p - f_q)^2 over integer points l with |l - c| <= R, c the
+    midpoint of the rows p, q of ``pair``, per radius; ``windowed`` weights
+    each point by ``_window(|l - c| / R)`` instead.
 
     ``radii`` must be ascending.  Each point's summand and its test against
     R^2 use the same float operations as a plain loop over every plane of
     the bounding cube, so the set of points summed is the same.
+
+    A pair of integer points is summed as the pair at the origin and at its
+    ``_canonical_offset``: the same lattice points relative to c, so a
+    turned or moved copy gives the same bits.  Its columns come from the
+    cached ``_axial_columns`` (offset on the z-axis) or, mirror-folded, from
+    ``_integer_columns``, with no merge per call; every squared distance to
+    a source is an integer m, and f is read from a table of 1/(sqrt(m) + 1)
+    built once per call.  A pair with a fractional coordinate is summed
+    where it lies, its columns merged per call by ``_merged_columns`` unless
+    it is axial, and f computed per point.
     """
     r2_limits = np.array([R * R for R in radii])
     r2_inner = r2_limits / 4.0  # where each window starts to fall
     rmax = radii[-1]
-    cx, cy, cz = centre
-    if (pair[:, :2] == centre[:2]).all():
-        rho2, multiplicity = _axial_columns(
-            float(cx - math.floor(cx)), float(cy - math.floor(cy)), rmax
-        )
-        src2 = [rho2, rho2]
-    else:
-        rho2, multiplicity, src2 = _merged_columns(pair, centre, rmax)
-    symmetric = _inversion_symmetric(centre)
-    z_first = math.ceil(cz) if symmetric else math.ceil(cz - rmax)
-    source_z = pair[:, 2].tolist()
+    offset = _canonical_offset(pair)
+    if offset is None:
+        centre = pair.mean(axis=0)
+        cx, cy, cz = centre.tolist()
+        symmetric = _inversion_symmetric(centre)
+        source_z = pair[:, 2].tolist()
+        if (pair[:, :2] == centre[:2]).all():
+            rho2, multiplicity = _axial_columns(cx - math.floor(cx), cy - math.floor(cy), rmax)
+            src2 = [rho2, rho2]
+        else:
+            rho2, multiplicity, src2 = _merged_columns(pair, centre, rmax)
 
+        def inverse_distance(s2, dz2):
+            d = s2 + dz2
+            np.sqrt(d, out=d)
+            d += 1.0
+            return np.divide(1.0, d, out=d)
+    else:
+        cz = offset[2] / 2
+        symmetric = True
+        source_z = [0, offset[2]]
+        if offset[:2] == (0, 0):
+            rho2, multiplicity = _axial_columns(0.0, 0.0, rmax)
+            src2 = [rho2.astype(np.intp)] * 2
+        else:
+            rho2, multiplicity, src2 = _folded_columns(offset, rmax)
+        # |l - p| <= |l - c| + |c - p|, with one spacing to spare
+        reach = rmax + math.hypot(*offset) / 2 + 1.0
+        table = np.sqrt(np.arange(math.ceil(reach * reach), dtype=float))
+        table += 1.0
+        np.divide(1.0, table, out=table)
+
+        def inverse_distance(m, dz2):
+            return table.take(m + dz2)
+
+    z_first = math.ceil(cz) if symmetric else math.ceil(cz - rmax)
     totals = [0.0 for _ in radii]
     for z in range(z_first, math.floor(cz + rmax) + 1):
         factor = 2.0 if symmetric and z > cz else 1.0
@@ -194,11 +301,7 @@ def _core_sums(pair, centre, radii, windowed=False) -> list[float]:
         n = ends[-1]
         if n == 0:
             continue
-        v, f_q = (s2[:n] + (z - pz) ** 2 for s2, pz in zip(src2, source_z))
-        for d in (v, f_q):
-            np.sqrt(d, out=d)
-            d += 1.0
-            np.divide(1.0, d, out=d)
+        v, f_q = (inverse_distance(s2[:n], (z - pz) ** 2) for s2, pz in zip(src2, source_z))
         v -= f_q
         v *= v
         v *= multiplicity[:n]
@@ -231,6 +334,17 @@ def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
+@functools.lru_cache(maxsize=1)
+def _first_sphere_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the first two rules of a shell's doubling, n =
+    _SPHERE_NODES_START and 2n, concatenated, and the weights of each."""
+    x, w_coarse = _sphere_rule(_SPHERE_NODES_START)
+    x_fine, w = _sphere_rule(2 * _SPHERE_NODES_START)
+    nodes = np.concatenate([x, x_fine])
+    nodes.flags.writeable = False  # shared by every caller
+    return nodes, w_coarse, w
+
+
 def _tails(pair, radii, tol, windowed=False) -> list[float]:
     """Continuum integral of (f_p - f_q)^2 over |u - c| > R for each ascending
     radius R, c the midpoint of the rows p, q of ``pair``, taken with the
@@ -253,8 +367,8 @@ def _tails(pair, radii, tol, windowed=False) -> list[float]:
     half = float(np.linalg.norm(pair[1] - pair[0])) / 2
     sq = half * half
 
-    def on_sphere(r: float, n: int) -> float:
-        x, w = _sphere_rule(n)
+    def on_sphere(r: float, x: np.ndarray) -> np.ndarray:
+        """(f_p - f_q)^2 at radius r in the directions with cos(theta) = x."""
         proj = half * x
         proj *= -2.0 * r  # -2 r (e . p) for the source at +half
         near = proj + (r * r + sq)  # |r e - p|^2 for the sources at +half
@@ -264,22 +378,26 @@ def _tails(pair, radii, tol, windowed=False) -> list[float]:
             d += 1.0
             np.reciprocal(d, out=d)
         near -= far
-        return float(w @ (near * near))
+        near *= near
+        return near
 
     def shell(r: float, scale: float) -> float:
         shell_tol = scale / r**4  # tracks the 1/r^4 decay of the shell
-        n = _SPHERE_NODES_START
-        prev = on_sphere(r, n)
-        while n < _SPHERE_NODES_MAX:
+        # the first two rules in one pass over their concatenated nodes
+        x, w_coarse, w = _first_sphere_rules()
+        n = len(w)
+        values = on_sphere(r, x)
+        prev, est = float(w_coarse @ values[: n // 2]), float(w @ values[n // 2 :])
+        while not abs(est - prev) <= shell_tol:
+            if n == _SPHERE_NODES_MAX:
+                raise QuadratureError(
+                    f"sphere rule at r = {r:g} did not reach {shell_tol:.3e} with "
+                    f"{_SPHERE_NODES_MAX} Gauss nodes"
+                )
             n *= 2
-            est = on_sphere(r, n)
-            if abs(est - prev) <= shell_tol:
-                return est
-            prev = est
-        raise QuadratureError(
-            f"sphere rule at r = {r:g} did not reach {shell_tol:.3e} with "
-            f"{_SPHERE_NODES_MAX} Gauss nodes"
-        )
+            x, w = _sphere_rule(n)
+            prev, est = est, float(w @ on_sphere(r, x))
+        return est
 
     outer = radii[-1]
 
@@ -345,7 +463,7 @@ def _pair_sums(pair, radii, tolerance, windowed=False):
     quad_tol = 0.02 * tolerance * 4.0 * max(half, 1.0)  # 4 = (sum |w|)^2
     if windowed:
         quad_tol *= _WINDOW_QUAD_SHARE
-    cores = _core_sums(pair, pair.mean(axis=0), radii, windowed)
+    cores = _core_sums(pair, radii, windowed)
     tails = _tails(pair, radii, quad_tol, windowed)
     return tuple(core + tail for core, tail in zip(cores, tails)), 2.0 * quad_tol
 
@@ -402,7 +520,9 @@ def column_difference_sum(
     """Evaluate S = -sum over p < q of w_p w_q kappa^2(q - p) (module
     docstring) with an estimate of its relative error.
 
-    Returns ``(value, relative_bound)``.  For a single pair the estimate is
+    Returns ``(value, relative_bound)``.  A copy of a set of integer
+    sources turned by a symmetry of the cube or moved by an integer vector
+    gives the same bits.  For a single pair the estimate is
     the largest relative change when the cutoff is lowered to 0.6, 0.7, 0.8
     and 0.9 * cutoff_radius (none below the sources' radius about their
     centroid plus 6); it is sampled, not proven.  For more sources each pair

@@ -43,11 +43,31 @@ def test_index_of_rejects_non_integer_entries(vector):
         dict(dimension=1, extents=(2, 2)),
         dict(dimension=1, extents=(0,)),
         dict(dimension=1, extents=(2,), spacing=-1.0),
+        dict(dimension=1, extents=(2.5,)),
     ],
 )
 def test_lattice_validation(kwargs):
     with pytest.raises(ValueError):
         LatticeSpec(**kwargs)
+
+
+def test_integral_real_extents_are_stored_as_ints():
+    lat = LatticeSpec(dimension=3.0, extents=(2.0, np.int64(3), np.float64(1.0)))
+    assert lat.dimension == 3 and lat.extents == (2, 3, 1)
+    assert all(type(n) is int for n in (lat.dimension, *lat.extents))
+    np.testing.assert_array_equal(
+        LatticeSpec(dimension=1, extents=(2.0,)).integer_coordinates, [[-1], [0]]
+    )
+
+
+def test_bool_extents_are_rejected():
+    with pytest.raises(ValueError, match="extents entry must be an integer, not the bool"):
+        LatticeSpec(dimension=1, extents=(True,))
+
+
+def test_bool_dimension_is_rejected():
+    with pytest.raises(ValueError, match="dimension must be an integer, not the bool"):
+        LatticeSpec(dimension=True, extents=(2,))
 
 
 def test_mode_peak_value():

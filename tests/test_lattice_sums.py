@@ -8,6 +8,7 @@ from ccgrav.errors import LatticeSumError
 from ccgrav.lattice_sums import (
     _axial_columns,
     _core_sums,
+    _integer_columns,
     _integer_pair_sums,
     _inversion_symmetric,
     _sphere_rule,
@@ -114,9 +115,74 @@ def test_core_sums_match_square_oracle(points, radii):
     # every pair term of the set, summed about its own midpoint
     for pair in pair_terms(points):
         centre = pair.mean(axis=0)
-        fast = _core_sums(pair, centre, list(radii))
+        fast = _core_sums(pair, list(radii))
         oracle = square_core_sums(pair, [1.0, -1.0], centre, list(radii))
         np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0.0)
+
+
+# one integer pair per symmetry class of |d| (on an axis, one zero, two
+# equal, a zero and two equal, all equal, none), some components negative
+INTEGER_OFFSETS = [(0, 0, 5), (0, -2, 5), (2, 5, 2), (-3, 1, 3), (0, 3, -3), (2, 2, 2), (1, -2, 4)]
+INTEGER_IDS = ["axial", "one-zero", "two-equal", "two-equal-odd", "zero-and-two-equal",
+               "all-equal", "generic"]
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["sharp", "windowed"])
+@pytest.mark.parametrize("shift", [(0, 0, 0), (3, -2, 1)], ids=["at-origin", "shifted"])
+@pytest.mark.parametrize("offset", INTEGER_OFFSETS, ids=INTEGER_IDS)
+def test_integer_pair_core_sums_match_square_oracle(offset, shift, windowed):
+    pair = np.array([(0, 0, 0), offset], dtype=float) + np.array(shift)
+    radii = [0.8 * 30.0, 30.0] if windowed else list(CHECKPOINT_RADII)
+    fast = _core_sums(pair, radii, windowed)
+    oracle = square_core_sums(pair, [1.0, -1.0], pair.mean(axis=0), radii, windowed)
+    np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_fractional_pair_matches_oracle_and_leaves_the_integer_columns_alone():
+    pair = np.array([(0.5, 0, 0), (0, 1, 2)])
+    before = _integer_columns.cache_info()
+    fast = _core_sums(pair, list(CHECKPOINT_RADII))
+    assert _integer_columns.cache_info() == before
+    oracle = square_core_sums(pair, [1.0, -1.0], pair.mean(axis=0), list(CHECKPOINT_RADII))
+    np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_integer_pairs_of_one_parity_share_one_read_only_bounded_table():
+    assert _integer_columns.cache_info().maxsize is not None
+    _integer_columns.cache_clear()
+    # midpoints (0.5, 1, 2) and (5.5, 4, 3): one table, built to radius 64
+    column_difference_sum([(0, 0, 0), (1, 2, 4)], [1, -1], cutoff_radius=30.0)
+    column_difference_sum([(5, 5, 5), (6, 3, 1)], [1, -1], cutoff_radius=30.0)
+    info = _integer_columns.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    for table in _integer_columns(0.5, 0.0, 64):
+        assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+
+
+CUBE_SYMMETRIES = [
+    (list(axes), signs)
+    for axes in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+]
+
+
+def test_turned_or_moved_integer_pair_gives_the_same_bits():
+    rng = np.random.default_rng(24)
+    offsets = [d for d in rng.integers(-4, 5, size=(20, 3)) if d.any()][:10]
+    for d in offsets:
+        pair = np.array([(0, 0, 0), d])
+        expected = column_difference_sum(pair, [1, -1], cutoff_radius=20.0)
+        for axes, signs in CUBE_SYMMETRIES:
+            for shift in [(0, 0, 0), (3, -1, 2), (-7, 5, 11)]:
+                turned = pair[:, axes] * np.array(signs) + np.array(shift)
+                assert column_difference_sum(turned, [1, -1], cutoff_radius=20.0) == expected
+
+
+def test_kappa_sq_is_the_same_for_a_turned_separation():
+    a, b = kappa_sq([0, 3, 4]), kappa_sq([4, 0, 3])
+    assert (a.kappa_sq, a.tail_bound) == (b.kappa_sq, b.tail_bound)
 
 
 WINDOWED_PAIRS = [
@@ -144,7 +210,7 @@ def test_windowed_core_sums_match_square_oracle(points):
     pair = np.array(points, dtype=float)
     centre = pair.mean(axis=0)
     radii = [0.8 * 30.0, 30.0]
-    fast = _core_sums(pair, centre, radii, windowed=True)
+    fast = _core_sums(pair, radii, windowed=True)
     oracle = square_core_sums(pair, [1.0, -1.0], centre, radii, windowed=True)
     np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0.0)
 
@@ -199,7 +265,8 @@ def test_off_axis_sum_leaves_the_axial_cache_alone():
     column_difference_sum([(0, 0, 0), (3, 4, 5)], [1, -1], cutoff_radius=30.0)
     assert _axial_columns.cache_info() == before
     # of the three pair terms only (2, 0, 0) is axial, and it reads the
-    # table once for both of its windows; the two off-axis terms build their own
+    # table once for both of its windows; the two off-axis terms read the
+    # integer column tables
     _integer_pair_sums.cache_clear()
     column_difference_sum(*THREE_SOURCES, cutoff_radius=30.0)
     after = _axial_columns.cache_info()
