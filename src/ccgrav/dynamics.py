@@ -80,6 +80,18 @@ MAX_STEP_NORM = 0.5  # largest h ||L'|| that bound covers
 MAX_TAYLOR_DEGREE = 30
 SNAPSHOT_EIGENVALUE_FLOOR = -1e-7
 SNAPSHOT_CHUNK = 64  # snapshots per elementwise factor and per batched check
+UNIT_ROUNDOFF = 2.0**-53  # u of float64
+
+
+def _gamma(n: float) -> float:
+    """gamma_n = n u / (1 - n u), the relative error of n float64 operations
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def _exp_bound(y: float) -> float:
+    """exp(y), or inf where that overflows."""
+    return math.exp(y) if y < 700.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -544,9 +556,32 @@ def _exact_states(states, rho0, rates, times) -> None:
         np.multiply(rho0, np.exp(-t * rates), out=states[lo : lo + len(t)])
 
 
-def _taylor_states(states, rho0, gamma, H, config) -> None:
+def _taylor_rounding(dim, degree, runs, span, decay_max, abs_h_norm) -> float:
+    """Trace-norm bound on the rounding error of ``_taylor_states``: every
+    computed snapshot minus what the same runs give in exact arithmetic.
+
+    ``span`` is q h, ``decay_max`` is max |Gamma - c| and ``abs_h_norm`` an
+    upper bound on the spectral norm of |H| / hbar; see ``evolve`` for the
+    derivation.
+    """
+    g_mm = math.sqrt(2.0) * _gamma(2 * dim + 2)  # H @ term, complex, inner length dim
+    g_out = 3.0 * _gamma(2 * degree + 4)  # rounded weights @ terms, inner length degree + 1
+    c_step = 2.0 * g_mm * abs_h_norm + 6.0 * _gamma(2) * (decay_max + 2.0 * abs_h_norm)
+    y = span * (decay_max + 2.0 * abs_h_norm + c_step)
+    per_run = 2.0 * (g_out * _exp_bound(y) + span * c_step * _exp_bound(2.0 * y))
+    leak = 2.0 * math.e * span * abs_h_norm
+    total = runs * per_run * (2.0 + leak * (runs - 1) / 2.0) * (1.0 + 2.0 * EVOLVE_TOL)
+    return math.sqrt(dim) * total
+
+
+def _taylor_states(states, rho0, gamma, H, config) -> float:
     """Fill states[1:] by truncated Taylor series of exp(t L), with the
-    trace-norm error proven below EVOLVE_TOL (see ``evolve``)."""
+    trace-norm error proven below EVOLVE_TOL (see ``evolve``).
+
+    Returns ``_taylor_rounding`` for the run, or inf when the truncation
+    bound does not hold (``config.convergence_check`` off, or no degree up
+    to MAX_TAYLOR_DEGREE meets its budget).
+    """
     steps, dim = config.steps, rho0.shape[0]
     shift = 0.5 * float(gamma.max())
     decay = gamma - shift
@@ -569,7 +604,7 @@ def _taylor_states(states, rho0, gamma, H, config) -> None:
     k = np.arange(1, q + 1)
     weights = np.exp(-shift * h * k)[:, None] * (k[:, None] / q) ** np.arange(degree + 1)
     H = H / HBAR
-    terms = np.empty((degree + 1, dim, dim), dtype=complex)
+    terms = np.empty((degree + 1, dim, dim), dtype=states.dtype)
     states[0] = rho0
     for start in range(0, steps, q):
         n = min(q, steps - start)
@@ -580,13 +615,20 @@ def _taylor_states(states, rho0, gamma, H, config) -> None:
         states[start + 1 : start + 1 + n] = (
             weights[:n] @ terms.reshape(degree + 1, -1)
         ).reshape(n, dim, dim)
+    if not config.convergence_check or degree == MAX_TAYLOR_DEGREE:
+        return math.inf
+    # || |H| ||_2 is the largest eigenvalue of |H|; eigvalsh's backward error,
+    # taken as gamma_{10 dim^2} ||A||_F <= gamma_{10 dim^2} sqrt(dim) ||A||_2,
+    # bounds how far below it the computed one may lie
+    abs_h_norm = float(np.linalg.eigvalsh(np.abs(H))[-1])
+    abs_h_norm /= 1.0 - math.sqrt(dim) * _gamma(10 * dim * dim)
+    return _taylor_rounding(dim, degree, runs, q * h, float(np.abs(decay).max()), abs_h_norm)
 
 
-def _check_snapshots(states, times) -> None:
+def _check_snapshots(states, times, *, spectral: bool = True) -> None:
     """StepSizeError unless every snapshot is finite, has unit trace within
-    TRACE_TOL and a Hermitian part with no eigenvalue below
-    SNAPSHOT_EIGENVALUE_FLOOR; checked SNAPSHOT_CHUNK snapshots at a time."""
-    floor = -SNAPSHOT_EIGENVALUE_FLOOR * np.eye(states.shape[-1])
+    TRACE_TOL and, when ``spectral``, passes ``_check_spectra``; checked
+    SNAPSHOT_CHUNK snapshots at a time."""
     for lo in range(0, len(states), SNAPSHOT_CHUNK):
         chunk = states[lo : lo + SNAPSHOT_CHUNK]
         finite = np.isfinite(chunk).all(axis=(1, 2))
@@ -599,17 +641,26 @@ def _check_snapshots(states, times) -> None:
             raise StepSizeError(
                 f"snapshot {k} (t = {times[k]:g}) is off unit trace by {drift.max():.2e}"
             )
-        herm = _hermitian_part(chunk)
-        try:  # herm + |floor| I positive definite <=> min eigenvalue > floor
-            np.linalg.cholesky(herm + floor)
-        except np.linalg.LinAlgError:
-            low = np.linalg.eigvalsh(herm).min(axis=1)
-            if low.min() < SNAPSHOT_EIGENVALUE_FLOOR:
-                k = lo + int(np.argmin(low))
-                raise StepSizeError(
-                    f"snapshot {k} (t = {times[k]:g}) has eigenvalue {low.min():.2e} "
-                    f"below {SNAPSHOT_EIGENVALUE_FLOOR:g}"
-                ) from None
+        if spectral:
+            _check_spectra(chunk, times, lo)
+
+
+def _check_spectra(chunk, times, lo) -> None:
+    """StepSizeError unless the Hermitian part of every snapshot in
+    ``chunk`` (snapshot ``lo`` first) has no eigenvalue below
+    SNAPSHOT_EIGENVALUE_FLOOR."""
+    herm = _hermitian_part(chunk)
+    floor = -SNAPSHOT_EIGENVALUE_FLOOR * np.eye(chunk.shape[-1])
+    try:  # herm + |floor| I positive definite <=> min eigenvalue > floor
+        np.linalg.cholesky(herm + floor)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(herm).min(axis=1)
+        if low.min() < SNAPSHOT_EIGENVALUE_FLOOR:
+            k = lo + int(np.argmin(low))
+            raise StepSizeError(
+                f"snapshot {k} (t = {times[k]:g}) has eigenvalue {low.min():.2e} "
+                f"below {SNAPSHOT_EIGENVALUE_FLOOR:g}"
+            ) from None
 
 
 def evolve(
@@ -642,9 +693,58 @@ def evolve(
       smallest ``steps`` that passes, unless ``config.convergence_check``
       is False, in which case the run goes ahead without the bound.
 
-    Every snapshot is then checked to be finite, to have unit trace within
-    1e-8 and a Hermitian part with minimum eigenvalue above -1e-7, else
-    ``StepSizeError``.
+    Every snapshot is checked to be finite and to have unit trace within
+    1e-8, else ``StepSizeError``.  Its positivity is proven where a theorem
+    covers the run; only where none does, and always when
+    ``config.convergence_check`` is False, the scan ``_check_spectra`` runs
+    too (a batched Cholesky of each Hermitian part plus 1e-7 I, and
+    ``StepSizeError`` for an eigenvalue below -1e-7).  The proof, in the
+    Frobenius norm unless stated, with u = 2^-53, gamma_n = n u / (1 - n u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), s sites
+    and T = total_time:
+
+    - Gamma_ab = |f_a - f_b|^2 for the features f_a = (sqrt(xi/2) n_a,
+      O_a / sqrt(2 xi)), so exp(-t Gamma) is a Gaussian kernel: positive
+      semidefinite (Schoenberg) with unit diagonal, and -Gamma o is a
+      completely positive, unital generator.  The stored Gamma is within a
+      relative gamma_{s+4} of these distances.  Run-time condition: Gamma
+      is real and finite.
+    - Exact path.  By Schur's product theorem
+      lambda_min(rho0 o K) >= lambda_min(rho0) >= -1e-10 for K = exp(-t Gamma)
+      under the diagonal unitary congruence of the phases.  Each computed
+      entry is rho0_ab K_ab (1 + e_ab) with
+      |e_ab| <= gamma_{s+16} + gamma_4 T (max E - min E) / hbar: the rate
+      rounds relatively, and x exp(-x) <= 1 keeps that inside the kernel;
+      the phase rounds relatively to t (E_a - E_b).  So the snapshot is
+      within max |e| ||rho0||_F of rho0 o K.
+    - Taylor path, with ``convergence_check``.  exp(t L) is completely
+      positive, trace preserving and unital (Gamma_aa = 0), so
+      lambda_min(rho(t)) >= lambda_min(rho0), and the truncation moves it by
+      at most 1e-8 (Weyl).  The runs use Gamma' = fl(Gamma - c) + c, which is
+      nonnegative and within gamma_{s+6} max Gamma of the distances, so
+      by Duhamel the exact solution moves by at most
+      T gamma_{s+6} max Gamma ||rho0||_F.  Rounding (``_taylor_rounding``):
+      with D = max |Gamma - c|, eta >= || |H| / hbar ||_2 (one eigvalsh of
+      |H|), span s_q = q h and m the degree, a complex fl(A B) of inner
+      length n is within sqrt(2) gamma_{2n+2} |A| |B| of A B, so one
+      recurrence step j adds at most (s_q / j) c ||term|| with
+      c = 2 sqrt(2) gamma_{2 dim+2} eta + 6 gamma_2 (D + 2 eta), and the
+      rounded weights @ terms at most 3 gamma_{2m+4} sum |w_j| ||term_j||.
+      With Y = s_q (D + 2 eta + c), a run from a start of norm at most 2
+      rounds by at most rho = 2 (3 gamma_{2m+4} e^Y + s_q c e^{2Y}).
+      Hermitian errors are carried by the exact map, which contracts the
+      Frobenius norm; an anti-Hermitian error A (the recurrence keeps
+      Hermitian terms Hermitian to the bit, the last product need not) only
+      decays, and leaks into the Hermitian part through -i {H, A}, at most
+      2 e s_q eta ||A|| per run.  After R runs the rounding is at most
+      R rho (2 + e s_q eta (R - 1)) (1 + 2e-8), times sqrt(dim) in trace
+      norm.  ``StepSizeError`` stops a run before x > 1/2 can void this.
+
+    The scan is skipped when 1e-10 + (1e-8 on the Taylor path) + these
+    bounds + gamma_{10 dim^2} ||rho0||_F (the eigvalsh that validated rho0)
+    stays below 1e-7, with ||rho0||_F <= 1 + 1e-8 + 2e-10 dim.  Rounding in
+    eigvalsh's spread of H and in the grid times changes the terms by
+    relative amounts of order dim^2 u and stays inside that margin.
     """
     if gen is None and hamiltonian is None:
         raise ValueError("need a noise generator, a Hamiltonian, or both")
@@ -667,12 +767,28 @@ def evolve(
 
     times = np.linspace(0.0, config.total_time, config.steps + 1)
     states = np.empty((config.steps + 1, dim, dim), dtype=complex)
-    if H is None:
-        _exact_states(states, rho0, gamma, times)
-    elif not (H - np.diag(np.diagonal(H))).any():
-        energies = np.diagonal(H).real / HBAR
-        _exact_states(states, rho0, gamma + 1j * (energies[:, None] - energies), times)
+    sites = 0 if gen is None else gen.num_sites
+    # where the proof holds, every snapshot's Hermitian part has no eigenvalue
+    # below -PSD_TOL - error; the first term is eigvalsh's error on rho0
+    norm0 = 1.0 + TRACE_TOL + 2.0 * dim * PSD_TOL  # >= ||rho0||_1 >= ||rho0||_F
+    error = _gamma(10 * dim * dim) * norm0
+    if H is None or not (H - np.diag(np.diagonal(H))).any():
+        if H is None:
+            _exact_states(states, rho0, gamma, times)
+            spread = 0.0
+        else:
+            energies = np.diagonal(H).real / HBAR
+            _exact_states(states, rho0, gamma + 1j * (energies[:, None] - energies), times)
+            spread = float(energies.max() - energies.min())
+        rel = _gamma(sites + 16) + _gamma(4) * config.total_time * spread
+        error += rel * norm0
     else:
-        _taylor_states(states, rho0, gamma, H, config)
-    _check_snapshots(states, times)
+        error += EVOLVE_TOL + _taylor_states(states, rho0, gamma, H, config)
+        error += config.total_time * _gamma(sites + 6) * float(gamma.max()) * norm0
+    proven = (
+        np.isrealobj(gamma)
+        and bool(np.isfinite(gamma).all())
+        and PSD_TOL + error < -SNAPSHOT_EIGENVALUE_FLOOR
+    )
+    _check_snapshots(states, times, spectral=not proven)
     return Trajectory(times, states)

@@ -64,5 +64,6 @@ class PositivityError(CcgravError):
 
 class StepSizeError(CcgravError):
     """Time evolution cannot vouch for its result: the step is too coarse for
-    the proven error bound, or a snapshot is not finite, off unit trace, or
-    not positive."""
+    the proven error bound, or a snapshot is not finite or off unit trace,
+    or, in a run whose positivity no proof covers (see ``evolve``), has an
+    eigenvalue below the floor."""

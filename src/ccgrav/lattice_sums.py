@@ -249,9 +249,10 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
     cached ``_axial_columns`` (offset on the z-axis) or, mirror-folded, from
     ``_integer_columns``, with no merge per call; every squared distance to
     a source is an integer m, and f is read from a table of 1/(sqrt(m) + 1)
-    built once per call.  A pair with a fractional coordinate is summed
-    where it lies, its columns merged per call by ``_merged_columns`` unless
-    it is axial, and f computed per point.
+    built once per call; 4 |l - c|^2 is an integer too, and the window is
+    read from a table per radius.  A pair with a fractional coordinate is
+    summed where it lies, its columns merged per call by ``_merged_columns``
+    unless it is axial, and f and the window computed per point.
     """
     r2_limits = np.array([R * R for R in radii])
     r2_inner = r2_limits / 4.0  # where each window starts to fall
@@ -273,6 +274,9 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
             np.sqrt(d, out=d)
             d += 1.0
             return np.divide(1.0, d, out=d)
+
+        def window(r2, k):
+            return _window(np.sqrt(r2) / radii[k])
     else:
         cz = offset[2] / 2
         symmetric = True
@@ -291,6 +295,18 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
         def inverse_distance(m, dz2):
             return table.take(m + dz2)
 
+        if windowed:
+            # 4 r2 is an integer k here, so each radius reads its falling
+            # shell R^2/4 < r2 <= R^2 from a table of the same float operations
+            lows = [math.floor(r2) for r2 in r2_limits.tolist()]
+            windows = [
+                _window(np.sqrt(np.arange(low, math.floor(4.0 * r2) + 1) / 4.0) / R)
+                for low, r2, R in zip(lows, r2_limits.tolist(), radii)
+            ]
+
+            def window(r2, k):
+                return windows[k].take((4.0 * r2).astype(np.intp) - lows[k])
+
     z_first = math.ceil(cz) if symmetric else math.ceil(cz - rmax)
     totals = [0.0 for _ in radii]
     for z in range(z_first, math.floor(cz + rmax) + 1):
@@ -307,8 +323,8 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
         v *= multiplicity[:n]
         if windowed:
             firsts = np.searchsorted(r2[:n], r2_inner, side="right").tolist()
-            for k, (lo, hi, R) in enumerate(zip(firsts, ends, radii)):
-                falling = v[lo:hi] @ _window(np.sqrt(r2[lo:hi]) / R)
+            for k, (lo, hi) in enumerate(zip(firsts, ends)):
+                falling = v[lo:hi] @ window(r2[lo:hi], k)
                 totals[k] += factor * (float(v[:lo].sum()) + float(falling))
             continue
         starts = [0, *ends[:-1]]

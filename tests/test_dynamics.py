@@ -686,6 +686,84 @@ def test_evolve_rejects_a_nan_snapshot():
         evolve(plus_state(), gen, None, EvolutionConfig(total_time=1.0, steps=10))
 
 
+@pytest.fixture
+def spectral_scans(monkeypatch):
+    """Count the chunks ``_check_spectra`` scans while the test runs."""
+    scanned = []
+    scan = dynamics._check_spectra
+
+    def spy(chunk, times, lo):
+        scanned.append(len(chunk))
+        scan(chunk, times, lo)
+
+    monkeypatch.setattr(dynamics, "_check_spectra", spy)
+    return scanned
+
+
+_SECTORS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("seed", range(2 * len(_SECTORS)))
+def test_proven_runs_also_pass_the_full_scan(seed, spectral_scans):
+    # every sector, once with each kernel; xi, the shift and rho0 drawn
+    rng = np.random.default_rng([25, seed])
+    sites, particles = _SECTORS[seed % len(_SECTORS)]
+    lattice = LatticeSpec.chain(sites)
+    kernel = CouplingKernel(lattice)
+    if seed >= len(_SECTORS):
+        kernel = _ShiftedKernel(kernel.matrix + rng.uniform(-0.5, 0.5), sites, lattice)
+    basis = FockBasis(sites, particles)
+    gen = NoiseGenerator(basis, kernel, float(rng.uniform(0.5, 2.0)))
+    rho0 = random_density(rng, basis.dim)
+    interaction = interaction_hamiltonian(basis, kernel).matrix
+    hamiltonians = [None, interaction, kinetic_hamiltonian(basis, lattice).matrix + interaction]
+    for h in hamiltonians:
+        traj = evolve(rho0, gen, h, EvolutionConfig(total_time=1.0, steps=400))
+        assert spectral_scans == []  # the proof covered the run
+        dynamics._check_snapshots(traj.states, traj.times)
+        assert len(spectral_scans) == -(-401 // dynamics.SNAPSHOT_CHUNK)
+        spectral_scans.clear()
+
+
+def test_taylor_rounding_bound_covers_an_extended_precision_run():
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than float64 here")
+    lattice, kernel, basis, gen = _sector_setup(3, 2)
+    h = kinetic_hamiltonian(basis, lattice).matrix + interaction_hamiltonian(basis, kernel).matrix
+    rho0 = random_density(np.random.default_rng(11), basis.dim)
+    config = EvolutionConfig(total_time=1.0, steps=400)
+    shape = (config.steps + 1, basis.dim, basis.dim)
+    fine, wide = np.empty(shape, dtype=complex), np.empty(shape, dtype=np.clongdouble)
+    bound = dynamics._taylor_states(fine, rho0, gen.dephasing_rates, h, config)
+    dynamics._taylor_states(wide, rho0, gen.dephasing_rates, h, config)
+    errors = [trace_norm((f - w).astype(complex)) for f, w in zip(fine, wide)]
+    assert 0.0 < max(errors) <= bound
+    assert dynamics.PSD_TOL + dynamics.EVOLVE_TOL + bound < -dynamics.SNAPSHOT_EIGENVALUE_FLOOR
+
+
+def test_spectral_scan_runs_where_no_proof_covers_the_run(spectral_scans):
+    lattice, kernel, basis, gen = _sector_setup(3, 2)
+    h = kinetic_hamiltonian(basis, lattice).matrix + interaction_hamiltonian(basis, kernel).matrix
+    rho0 = random_density(np.random.default_rng(3), basis.dim)
+    chunks = -(-101 // dynamics.SNAPSHOT_CHUNK)
+    checked = EvolutionConfig(total_time=1.0, steps=100)
+    evolve(rho0, gen, h, checked)
+    assert spectral_scans == []
+    # without the convergence check there is no truncation bound
+    unchecked = EvolutionConfig(total_time=1.0, steps=100, convergence_check=False)
+    evolve(rho0, gen, h, unchecked)
+    assert len(spectral_scans) == chunks
+    # an offset of 1e3 in H leaves the step alone but voids the rounding bound
+    spectral_scans.clear()
+    evolve(rho0, gen, h + 1e3 * np.eye(basis.dim), checked)
+    assert len(spectral_scans) == chunks
+    # on the exact path, phases (T spread = 1e9) too large for the rounding bound
+    spectral_scans.clear()
+    interaction = interaction_hamiltonian(basis, kernel).matrix
+    evolve(rho0, gen, 1e9 * interaction, checked)
+    assert len(spectral_scans) == chunks
+
+
 def test_evolve_requires_generator_or_hamiltonian():
     with pytest.raises(ValueError):
         evolve(plus_state(), None, None, EvolutionConfig(total_time=1.0, steps=10))
