@@ -75,12 +75,14 @@ def kappa_sq(
 ) -> KappaResult:
     """Squared dephasing frequency for two sites separated by ``separation``.
 
-    ``separation`` is either a signed scalar D (the pair is placed D spacings
-    apart along an axis) or an integer displacement 3-vector, both in units
-    of the spacing.  The sum runs over the infinite cubic lattice, truncated
-    at ``cutoff_radius`` with a continuum tail correction; the prefactor is
-    (scale/spacing)^2 with scale = G m^2 / (2 hbar).  A radius or tolerance
-    that ``lattice_sums.check_cutoff`` rejects raises ValueError.
+    ``separation`` is either a signed scalar D, any finite real (the pair is
+    placed D spacings apart along the z-axis), or an integer displacement
+    3-vector, both in units of the spacing.  The sum runs over the infinite
+    cubic lattice, truncated at ``cutoff_radius`` with a continuum tail
+    correction; the prefactor is (scale/spacing)^2 with scale = G m^2 /
+    (2 hbar).  ValueError for a radius or tolerance that
+    ``lattice_sums.check_cutoff`` rejects, a non-finite separation, and a
+    3-vector with an entry that is not an integer (``errors.as_index``).
     """
     check_cutoff(cutoff_radius, tolerance)
     if np.ndim(separation) == 0:
@@ -89,6 +91,7 @@ def kappa_sq(
         disp = np.asarray(separation, dtype=float)
         if disp.shape != (3,):
             raise ValueError("separation must be a scalar or a 3-vector")
+        disp = np.array([as_index(v, "separation entry") for v in disp.tolist()], dtype=float)
     check_positive("separation must be finite", *np.abs(disp), allow_zero=True)
     dist = math.hypot(*disp)
     prefactor = (scale / spacing) ** 2

@@ -580,8 +580,12 @@ def _taylor_states(states, rho0, gamma, H, config) -> float:
 
     Returns ``_taylor_rounding`` for the run, or inf when the truncation
     bound does not hold (``config.convergence_check`` off, or no degree up
-    to MAX_TAYLOR_DEGREE meets its budget).
+    to MAX_TAYLOR_DEGREE meets its budget).  A non-finite Gamma raises
+    StepSizeError for snapshot 0, as on the exact path, where
+    rho0 * exp(-0 * Gamma) is not finite.
     """
+    if not np.isfinite(gamma).all():
+        raise StepSizeError("snapshot 0 (t = 0) is not finite: a decay rate is not finite")
     steps, dim = config.steps, rho0.shape[0]
     shift = 0.5 * float(gamma.max())
     decay = gamma - shift

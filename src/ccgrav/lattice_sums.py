@@ -5,10 +5,12 @@ The quantity handled here is
     S = sum over l in Z^3 of ( sum_p w_p f_p(l) )^2,   f_p(l) = 1 / (|l - p| + 1)
 
 for a small signed set of source points p (positions in units of the lattice
-spacing) whose weights cancel.  Then (sum_p w_p f_p)^2 equals
--1/2 sum_{p,q} w_p w_q (f_p - f_q)^2 at every lattice point, so after
-coincident points are merged S = -sum over p < q of w_p w_q kappa^2(q - p),
-kappa^2(d) being the pair sum of (f_p - f_q)^2; only pairs are ever summed.
+spacing) whose weights cancel: lattice sites, or one pair on a line parallel
+to the z-axis at any real separation (a scalar D of ``kappa_sq``).  Then
+(sum_p w_p f_p)^2 equals -1/2 sum_{p,q} w_p w_q (f_p - f_q)^2 at every
+lattice point, so after coincident points are merged
+S = -sum over p < q of w_p w_q kappa^2(q - p), kappa^2(d) being the pair sum
+of (f_p - f_q)^2; only pairs are ever summed.
 
 The summand decays only like 1/r^4 with an O(|d|^2) prefactor, so the
 lattice points within a radius R of the pair's midpoint c are summed and
@@ -32,14 +34,13 @@ the z-axis merged on their distance to c (3 860 distinct columns out of
 in xy, x -> -x when d_x = 0 and x <-> y when d_x = d_y, which halves them.
 Every squared distance to an integer source is an integer m, so f is read
 from a table of 1/(sqrt(m) + 1) built once per call with the float
-operations of f itself.  A pair with a fractional coordinate is summed
-where it lies: its columns are merged per call on their squared xy
-distances to c and to both sources (kept in a cache only for a pair on c's
-z-line), and f is evaluated at every point.  The continuum part is taken
-with the pair on the z-axis at c -+ |d|/2, where the integrand does not
-depend on phi, so each spherical shell gets an n-point Gauss-Legendre rule
-in cos(theta), n doubling from 8 until two estimates agree; the 8- and
-16-point rules are evaluated in one pass over their concatenated nodes.
+operations of f itself.  A z-parallel pair with a fractional coordinate is
+summed where it lies, its columns read from the same cached merged table
+and f evaluated at every point.  The continuum part is taken with the pair
+on the z-axis at c -+ |d|/2, where the integrand does not depend on phi, so
+each spherical shell gets an n-point Gauss-Legendre rule in cos(theta), n
+doubling from 8 until two estimates agree; the 8- and 16-point rules are
+evaluated in one pass over their concatenated nodes.
 
 A single pair (every ``kappa_sq``) is cut off sharply at R = cutoff_radius:
 the tail beyond R is one adaptive Simpson integral under r = R/(1-t)^2, and
@@ -62,12 +63,11 @@ accurate than a direct sum over the whole set, and its sampled estimate
 missed.  A term's radius is 2.5 |d|/2 + 20, or cutoff_radius when that is
 smaller, and it is summed again at 0.8 of it; the estimate is the composed
 change between the two plus the terms' quadrature budgets.  When that
-exceeds the tolerance every term is redone at cutoff_radius.  For integer
-sources kappa^2 depends on d only up to the cube's symmetries, so those
-terms come from a bounded cache keyed on the sorted |d_i|, the radii and
-the tolerance, computed on the pair at the origin and at the key: a hit and
-a miss give the same bits.  Terms of a set with a fractional source are
-summed where they lie.
+exceeds the tolerance every term is redone at cutoff_radius.  Such a set
+has integer sources, and kappa^2 depends on d only up to the cube's
+symmetries, so the terms come from a bounded cache keyed on the sorted
+|d_i|, the radii and the tolerance, computed on the pair at the origin and
+at the key: a hit and a miss give the same bits.
 """
 
 from __future__ import annotations
@@ -108,11 +108,18 @@ def check_cutoff(cutoff_radius: float, tolerance: float) -> None:
 
 
 def _as_points(points) -> np.ndarray:
+    """The sources as an (n, 3) float array: finite lattice sites, or one
+    pair on a line parallel to the z-axis; ValueError otherwise."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise ValueError("source points must be 3-vectors (units of the spacing)")
     if not np.isfinite(pts).all():
         raise ValueError("source points must be finite")
+    z_pair = len(pts) == 2 and (pts[0, :2] == pts[1, :2]).all()
+    if not (z_pair or (pts == np.round(pts)).all()):
+        raise ValueError(
+            "source points must be lattice sites, or one pair on a line parallel to the z-axis"
+        )
     return pts
 
 
@@ -191,21 +198,6 @@ def _folded_columns(d, rmax):
     return rho2, multiplicity, [X * X + Y * Y, (X - a) ** 2 + (Y - b) ** 2]
 
 
-def _merged_columns(pair, centre, rmax):
-    """Columns within rmax merged on their squared xy distances to the
-    centre and to each source of the pair, sorted by the distance to the
-    centre."""
-    X, Y, rho2 = _column_grid(centre[0], centre[1], rmax)
-    keys = np.array([rho2] + [(X - p[0]) ** 2 + (Y - p[1]) ** 2 for p in pair])
-    keys = keys[:, np.lexsort(keys[::-1])]
-    first = np.ones(keys.shape[1], dtype=bool)
-    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    starts = np.flatnonzero(first)
-    multiplicity = np.diff(starts, append=keys.shape[1]).astype(float)
-    rho2, *src2 = keys[:, starts]
-    return rho2, multiplicity, src2
-
-
 def _inversion_symmetric(centre) -> bool:
     """True when inversion through a pair's midpoint maps the lattice onto
     itself (2 * centre is an integer vector).  It swaps the two sources, so
@@ -239,9 +231,11 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
     midpoint of the rows p, q of ``pair``, per radius; ``windowed`` weights
     each point by ``_window(|l - c| / R)`` instead.
 
-    ``radii`` must be ascending.  Each point's summand and its test against
-    R^2 use the same float operations as a plain loop over every plane of
-    the bounding cube, so the set of points summed is the same.
+    ``pair`` is two lattice sites, or, unwindowed only, two points on a line
+    parallel to the z-axis (the inputs ``_as_points`` accepts).  ``radii``
+    must be ascending.  Each point's summand and its test against R^2 use
+    the same float operations as a plain loop over every plane of the
+    bounding cube, so the set of points summed is the same.
 
     A pair of integer points is summed as the pair at the origin and at its
     ``_canonical_offset``: the same lattice points relative to c, so a
@@ -250,9 +244,9 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
     ``_integer_columns``, with no merge per call; every squared distance to
     a source is an integer m, and f is read from a table of 1/(sqrt(m) + 1)
     built once per call; 4 |l - c|^2 is an integer too, and the window is
-    read from a table per radius.  A pair with a fractional coordinate is
-    summed where it lies, its columns merged per call by ``_merged_columns``
-    unless it is axial, and f and the window computed per point.
+    read from a table per radius.  A z-parallel pair with a fractional
+    coordinate is summed where it lies, its columns read from
+    ``_axial_columns`` and f computed per point.
     """
     r2_limits = np.array([R * R for R in radii])
     r2_inner = r2_limits / 4.0  # where each window starts to fall
@@ -263,20 +257,14 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
         cx, cy, cz = centre.tolist()
         symmetric = _inversion_symmetric(centre)
         source_z = pair[:, 2].tolist()
-        if (pair[:, :2] == centre[:2]).all():
-            rho2, multiplicity = _axial_columns(cx - math.floor(cx), cy - math.floor(cy), rmax)
-            src2 = [rho2, rho2]
-        else:
-            rho2, multiplicity, src2 = _merged_columns(pair, centre, rmax)
+        rho2, multiplicity = _axial_columns(cx - math.floor(cx), cy - math.floor(cy), rmax)
+        src2 = [rho2, rho2]
 
         def inverse_distance(s2, dz2):
             d = s2 + dz2
             np.sqrt(d, out=d)
             d += 1.0
             return np.divide(1.0, d, out=d)
-
-        def window(r2, k):
-            return _window(np.sqrt(r2) / radii[k])
     else:
         cz = offset[2] / 2
         symmetric = True
@@ -496,7 +484,6 @@ def _windowed_sum(sources, cutoff_radius, tolerance, reach):
     -sum over p < q of w_p w_q kappa^2(q - p) from windowed pair terms, each
     at radius R = cutoff_radius, or with ``reach`` at
     2.5 |q - p| / 2 + _WINDOW_REACH when that is smaller."""
-    cached = all((p == np.round(p)).all() for p, _ in sources)
     terms = []
     shortened = False
     for i, (p, wp) in enumerate(sources):
@@ -511,12 +498,8 @@ def _windowed_sum(sources, cutoff_radius, tolerance, reach):
                     f"cutoff_radius {cutoff_radius:g} too small for sources "
                     f"{2 * half:g} spacings apart; raise the radius"
                 )
-            radii = (_WINDOW_CHECK * radius, radius)
-            if cached:
-                key = tuple(sorted(np.abs(q - p).tolist()))
-                sums, budget = _integer_pair_sums(key, radii, tolerance)
-            else:
-                sums, budget = _pair_sums(np.array([p, q]), radii, tolerance, True)
+            key = tuple(sorted(np.abs(q - p).tolist()))
+            sums, budget = _integer_pair_sums(key, (_WINDOW_CHECK * radius, radius), tolerance)
             terms.append((-wp * wq, sums, budget))
     # one fixed order, so a moved or turned copy of a set gives the same bits
     terms.sort()
@@ -536,22 +519,25 @@ def column_difference_sum(
     """Evaluate S = -sum over p < q of w_p w_q kappa^2(q - p) (module
     docstring) with an estimate of its relative error.
 
-    Returns ``(value, relative_bound)``.  A copy of a set of integer
-    sources turned by a symmetry of the cube or moved by an integer vector
-    gives the same bits.  For a single pair the estimate is
-    the largest relative change when the cutoff is lowered to 0.6, 0.7, 0.8
-    and 0.9 * cutoff_radius (none below the sources' radius about their
-    centroid plus 6); it is sampled, not proven.  For more sources each pair
-    term is windowed at its own radius (at most cutoff_radius), and the
-    estimate is the composed change from 0.8 of those radii plus the
-    quadrature budgets of the terms' tails, each weighted by |w_p w_q|.
-    With integer sources those terms come from a cache of at most 256
-    entries keyed on the sorted |d|, the radii and ``tolerance``.  Raises
-    LatticeSumError when the estimate exceeds ``tolerance`` or the sources
-    do not fit well inside the radius (every window must start to fall at
-    least one spacing outside its pair), and ValueError for non-finite
-    points or weights, weights that do not cancel to 1e-12 of their absolute
-    sum, and a radius or tolerance that ``check_cutoff`` rejects.
+    Returns ``(value, relative_bound)``.  The points must be lattice sites
+    (integer 3-vectors), or exactly two points on a line parallel to the
+    z-axis, which may lie anywhere.  A copy of a set of integer sources
+    turned by a symmetry of the cube or moved by an integer vector gives the
+    same bits.  For a single pair the estimate is the largest relative
+    change when the cutoff is lowered to 0.6, 0.7, 0.8 and 0.9 *
+    cutoff_radius (none below the sources' radius about their centroid plus
+    6); it is sampled, not proven.  For more sources each pair term is
+    windowed at its own radius (at most cutoff_radius), and the estimate is
+    the composed change from 0.8 of those radii plus the quadrature budgets
+    of the terms' tails, each weighted by |w_p w_q|.  Those terms come from
+    a cache of at most 256 entries keyed on the sorted |d|, the radii and
+    ``tolerance``.  Raises LatticeSumError when the estimate exceeds
+    ``tolerance`` or the sources do not fit well inside the radius (every
+    window must start to fall at least one spacing outside its pair), and
+    ValueError for a radius or tolerance that ``check_cutoff`` rejects
+    (checked first), for non-finite points, points that are neither lattice
+    sites nor one z-parallel pair, non-finite weights, and weights that do
+    not cancel to 1e-12 of their absolute sum.
     """
     check_cutoff(cutoff_radius, tolerance)
     pts = _as_points(points)

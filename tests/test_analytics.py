@@ -263,6 +263,7 @@ INF = float("inf")
         lambda: kappa_sq(NAN),
         lambda: kappa_sq(INF),
         lambda: kappa_sq([0.0, NAN, 1.0]),
+        lambda: kappa_sq([0.5, 0.3, 2.0]),
         lambda: integral_I(NAN),
         lambda: integral_I(INF),
         lambda: integral_I(1.0, rel_tol=NAN),
@@ -283,6 +284,7 @@ INF = float("inf")
         "kappa-nan",
         "kappa-inf",
         "kappa-vector-nan",
+        "kappa-vector-fractional",
         "integral-nan",
         "integral-inf",
         "integral-rel-tol-nan",

@@ -678,12 +678,14 @@ def test_snapshot_eigenvalue_floor_is_minus_1e_7():
 
 
 def test_evolve_rejects_a_nan_snapshot():
-    # a kernel with a NaN entry makes every decay rate NaN
+    # a kernel with a NaN entry makes every decay rate NaN, on the exact
+    # path (no H) and on the Taylor path (the kinetic H is not diagonal)
     lattice, basis, gen = two_site_setup()
     broken = _ShiftedKernel(np.full((2, 2), math.nan), 2, lattice)
     gen = NoiseGenerator(basis, broken, 1.0)
-    with pytest.raises(StepSizeError, match="snapshot 0 .* not finite"):
-        evolve(plus_state(), gen, None, EvolutionConfig(total_time=1.0, steps=10))
+    for h in (None, kinetic_hamiltonian(basis, lattice).matrix):
+        with pytest.raises(StepSizeError, match="snapshot 0 .* not finite"):
+            evolve(plus_state(), gen, h, EvolutionConfig(total_time=1.0, steps=10))
 
 
 @pytest.fixture

@@ -139,7 +139,8 @@ def test_integer_pair_core_sums_match_square_oracle(offset, shift, windowed):
 
 
 def test_fractional_pair_matches_oracle_and_leaves_the_integer_columns_alone():
-    pair = np.array([(0.5, 0, 0), (0, 1, 2)])
+    # a fractional scalar D, placed on the z-axis as kappa_sq(2.5) places it
+    pair = np.array([(0, 0, 0), (0, 0, 2.5)])
     before = _integer_columns.cache_info()
     fast = _core_sums(pair, list(CHECKPOINT_RADII))
     assert _integer_columns.cache_info() == before
@@ -185,16 +186,27 @@ def test_kappa_sq_is_the_same_for_a_turned_separation():
     assert (a.kappa_sq, a.tail_bound) == (b.kappa_sq, b.tail_bound)
 
 
+@pytest.mark.parametrize("k", [1, 7, 33])
+def test_kappa_sq_is_continuous_where_its_two_paths_meet(k):
+    # k + eps is summed with f per point, k from the integer table; odd k
+    # only, since at even k the centre is a lattice point and points on the
+    # cutoff spheres make the sharp sum jump by about 2e-6 relative
+    at_k = kappa_sq(float(k)).kappa_sq
+    for eps in (1e-9, -1e-9):
+        assert abs(kappa_sq(k + eps).kappa_sq - at_k) <= 1e-8 * at_k
+
+
+# only integer pairs are ever windowed (the terms of a multi-source set);
+# the continuum tails take any pair
 WINDOWED_PAIRS = [
     [(0, 0, 0), (0, 0, 1)],
     [(0, 0, 0), (0, 0, 20)],
     [(0, 0, 0), (3, 4, 5)],
     [(3, -2, 1), (3, -2, 6)],
-    [(0.5, 0.25, 0), (0.5, 0.25, 6)],
-    [(0.5, 0, 0), (0, 1, 0)],
 ]
-WINDOWED_IDS = ["z-pair-1", "z-pair-20", "off-axis-pair", "shifted-z-pair",
-                "fractional-z-pair", "fractional-off-axis-pair"]
+WINDOWED_IDS = ["z-pair-1", "z-pair-20", "off-axis-pair", "shifted-z-pair"]
+FRACTIONAL_PAIRS = [[(0.5, 0.25, 0), (0.5, 0.25, 6)], [(0.5, 0, 0), (0, 1, 0)]]
+FRACTIONAL_IDS = ["fractional-z-pair", "fractional-off-axis-pair"]
 
 
 def test_window_is_a_smooth_step():
@@ -215,7 +227,9 @@ def test_windowed_core_sums_match_square_oracle(points):
     np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("points", WINDOWED_PAIRS, ids=WINDOWED_IDS)
+@pytest.mark.parametrize(
+    "points", WINDOWED_PAIRS + FRACTIONAL_PAIRS, ids=WINDOWED_IDS + FRACTIONAL_IDS
+)
 def test_windowed_tails_match_product_rule_oracle(points):
     # the windowed tail starts at R/2, inside the sharp ones, and takes the
     # tolerance a pair term of a multi-source set sets for 1e-3
@@ -320,16 +334,12 @@ def _random_integer_sets(count, seed):
     return sets
 
 
-FRACTIONAL_FOUR_SOURCES = ([(0.5, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1.25)], [1, 1, -1, -1])
-
-
 @pytest.mark.parametrize(
     "points, weights",
-    [THREE_SOURCES, FOUR_SOURCES, SYMMETRIC_FOUR_SOURCES, ASYMMETRIC_FOUR_SOURCES,
-     FRACTIONAL_FOUR_SOURCES]
+    [THREE_SOURCES, FOUR_SOURCES, SYMMETRIC_FOUR_SOURCES, ASYMMETRIC_FOUR_SOURCES]
     + _random_integer_sets(20, seed=20261020),
     ids=["three-sources", "four-sources", "symmetric-four-sources",
-         "asymmetric-four-sources", "fractional-four-sources"]
+         "asymmetric-four-sources"]
     + [f"random-{k}" for k in range(20)],
 )
 def test_multi_source_sum_matches_direct_oracle(points, weights):
@@ -360,9 +370,10 @@ def test_pair_cache_gives_the_same_bits_on_a_hit_a_miss_and_a_moved_copy():
 def test_fractional_sources_leave_the_pair_cache_alone():
     column_difference_sum(*FOUR_SOURCES)
     before = _integer_pair_sums.cache_info()
-    column_difference_sum(
-        [(0.5, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1)], [1, 1, -1, -1]
-    )
+    with pytest.raises(ValueError, match="lattice sites"):
+        column_difference_sum(
+            [(0.5, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1)], [1, 1, -1, -1]
+        )
     assert _integer_pair_sums.cache_info() == before
 
 
@@ -392,6 +403,10 @@ def test_tight_tolerance_takes_every_term_to_the_full_radius():
     assert _integer_pair_sums.cache_info().hits == 2 * 4 + 1
 
 
+# fractional sources are accepted only as one pair on a z-parallel line
+FRACTIONAL_FOUR_SOURCES = ([(0.5, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1.25)], [1, 1, -1, -1])
+
+
 @pytest.mark.parametrize(
     "points, weights, error",
     [
@@ -401,9 +416,12 @@ def test_tight_tolerance_takes_every_term_to_the_full_radius():
         ([(0, 0, 0), (0, 0, 1e300)], [1, -1], LatticeSumError),
         ([(-1e308, 0, 0), (1e308, 0, 0)], [1, -1], LatticeSumError),
         ([(0, 0, 0), (0, 0, 1)], [1e-13, -2e-13], ValueError),
+        (*FRACTIONAL_FOUR_SOURCES, ValueError),
+        (FRACTIONAL_PAIRS[1], [1, -1], ValueError),
     ],
     ids=["nan", "inf", "inf-weights", "huge-separation", "span-beyond-float-range",
-         "tiny-weights-not-cancelling"],
+         "tiny-weights-not-cancelling", "fractional-four-sources",
+         "fractional-off-axis-pair"],
 )
 def test_unusable_inputs_fail_before_the_sum(points, weights, error):
     with pytest.raises(error):
