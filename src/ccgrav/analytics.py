@@ -47,6 +47,11 @@ class KappaResult:
     largest relative change when the cutoff is lowered to the checkpoint
     radii of ``column_difference_sum``.  It is a sampled estimate, not a
     proven bound, and is below ``tolerance`` whenever the sum succeeded.
+    From |d| >= 1.8 R - 12 (D >= 96 at R = 60) the checkpoints collapse into
+    one radius and the estimate can swing across the tolerance between
+    neighbouring separations: at R = 60, ``kappa_sq(99 - 1e-9)`` raises
+    LatticeSumError (estimate 1.018e-3) while ``kappa_sq(99)`` returns
+    8.9e-4.  ROADMAP item 21 replaces this estimate.
     """
 
     kappa_sq: float

@@ -304,15 +304,8 @@ def _run_dephase(params: dict):
             "separation_m": params["separation"],
             "min_rate_per_s": rate,
         }
-    result = analytics.kappa_sq(
-        params["D"],
-        scale=params["scale"],
-        spacing=params["spacing"],
-        cutoff_radius=params["radius"],
-        tolerance=params["tolerance"],
-    )
-    estimate = analytics.dephasing_estimate(result.kappa_sq)
-    out = result.as_dict()
+    out = _run_kappa(params)
+    estimate = analytics.dephasing_estimate(out["kappa_sq"])
     out.update({"xi_opt": estimate.xi_opt, "min_rate": estimate.min_rate})
     if params.get("xi") is not None:
         out["xi"] = params["xi"]

@@ -309,7 +309,10 @@ def circuit_step(
     element rho_ab is multiplied by exp(-i tau (n_a O_a - n_b O_b)) times the
     coherent-state overlap <gamma_b|gamma_a>, with gamma_a = sqrt(xi tau) n_a
     - i sqrt(tau / xi) O_a (see the module docstring).  Occupation-diagonal
-    states are exact fixed points.
+    states are exact fixed points.  Every exponent of that factor is linear
+    in tau, so the stage is exactly rho * exp(tau * gen.site_apply(ones, j)),
+    elementwise, and ``generator_residual`` measures only the remainder of
+    that exponential.
 
     ``anc`` sets only the truncation the guard checks: with m = levels - 2,
     the population sum_a |rho_aa| P[Poisson(|gamma_a|^2) >= m] that a

@@ -81,9 +81,6 @@ class OperatorMatrix:
     def dagger(self) -> np.ndarray:
         return self.matrix.conj().T
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
     def to_json_pairs(self) -> list:
         """Array-of-arrays of [real, imag] pairs, for debugging dumps."""
         return [

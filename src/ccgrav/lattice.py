@@ -89,10 +89,6 @@ class LatticeSpec:
         lies outside the block."""
         return self._index_map[tuple(as_index(v) for v in integer_vector)]
 
-    def distance(self, i: int, j: int) -> float:
-        delta = self.integer_coordinates[i] - self.integer_coordinates[j]
-        return float(np.linalg.norm(delta)) * self.spacing
-
 
 def mode_function(lattice: LatticeSpec, j: int, x):
     """Real-space amplitude of the sinc mode localised at site j.

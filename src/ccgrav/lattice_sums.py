@@ -5,42 +5,44 @@ The quantity handled here is
     S = sum over l in Z^3 of ( sum_p w_p f_p(l) )^2,   f_p(l) = 1 / (|l - p| + 1)
 
 for a small signed set of source points p (positions in units of the lattice
-spacing) whose weights cancel: lattice sites, or one pair on a line parallel
-to the z-axis at any real separation (a scalar D of ``kappa_sq``).  Then
-(sum_p w_p f_p)^2 equals -1/2 sum_{p,q} w_p w_q (f_p - f_q)^2 at every
-lattice point, so after coincident points are merged
+spacing) whose weights cancel: lattice sites, or one pair on the z-axis with
+a source at the origin, at any real separation (a scalar D of
+``kappa_sq``).  Then (sum_p w_p f_p)^2 equals -1/2 sum_{p,q} w_p w_q
+(f_p - f_q)^2 at every lattice point, so after coincident points are merged
 S = -sum over p < q of w_p w_q kappa^2(q - p), kappa^2(d) being the pair sum
 of (f_p - f_q)^2; only pairs are ever summed.
 
+Each pair is reduced to its canonical offset where its term is formed, and
+nothing below sees a position: |q - p|, its components ordered so that a
+zero or a repeated one lies in xy and the odd one out in z, is summed as the
+pair at the origin and at that offset.
+For lattice sites that moves the lattice points within R of the midpoint c
+with the pair, so the sum is the same, and a turned or moved copy of a pair
+gives the same bits; the axis pair at a fractional D has offset (0, 0, |D|).
+
 The summand decays only like 1/r^4 with an O(|d|^2) prefactor, so the
-lattice points within a radius R of the pair's midpoint c are summed and
-the rest is replaced by the continuum integral of the same integrand.  The
-lattice pass works on xy columns within R of c's z-line.  Sorted by
-distance to c, the columns inside each radius form a prefix in every plane,
-so all radii come from one evaluation of the largest.  When 2c is an
-integer vector, as for every integer pair, inversion through c maps the
-lattice onto itself and swaps the sources, so plane 2 c_z - z has the
+lattice points within a radius R of c are summed and the rest is replaced
+by the continuum integral of the same integrand.  The lattice pass works on
+xy columns within R of c's z-line.  Sorted by distance to c, the columns
+inside each radius form a prefix in every plane, so all radii come from one
+evaluation of the largest.  For an integer offset, inversion through c maps
+the lattice onto itself and swaps the sources, so plane d_z - z has the
 partial sums of plane z: only the planes with z >= c_z are summed, those
 with z > c_z counted twice.
 
-A pair of integer points is summed as the pair at the origin and at
-|q - p|, its components ordered so that a zero or a repeated one lies in xy
-and the odd one out in z.  That moves the lattice points within R of c
-with the pair, so the sum is the same, and a turned or moved copy of a pair
-gives the same bits.  The columns then depend only on whether c's x and y
-are integers or halves and on R, and small caches keep them: for a pair on
-the z-axis merged on their distance to c (3 860 distinct columns out of
-45 225 at R = 120), otherwise one by one and folded over the pair's mirror
-in xy, x -> -x when d_x = 0 and x <-> y when d_x = d_y, which halves them.
-Every squared distance to an integer source is an integer m, so f is read
-from a table of 1/(sqrt(m) + 1) built once per call with the float
-operations of f itself.  A z-parallel pair with a fractional coordinate is
-summed where it lies, its columns read from the same cached merged table
-and f evaluated at every point.  The continuum part is taken with the pair
-on the z-axis at c -+ |d|/2, where the integrand does not depend on phi, so
-each spherical shell gets an n-point Gauss-Legendre rule in cos(theta), n
-doubling from 8 until two estimates agree; the 8- and 16-point rules are
-evaluated in one pass over their concatenated nodes.
+The columns depend only on whether c's x and y are integers or halves and
+on R, and small caches keep them: for an offset on the z-axis merged on
+their distance to the axis (3 860 distinct columns out of 45 225 at
+R = 120), otherwise one by one and folded over the pair's mirror in xy,
+x -> -x when d_x = 0 and x <-> y when d_x = d_y, which halves them.  For an
+integer offset every squared distance to a source is an integer m, so f is
+read from a table of 1/(sqrt(m) + 1) built once per call with the float
+operations of f itself; a fractional one sums every plane, with f computed
+per point.  The continuum part depends only on |d|/2: it is taken with the
+pair on the z-axis at c -+ |d|/2, where the integrand does not depend on
+phi, so each spherical shell gets an n-point Gauss-Legendre rule in
+cos(theta), n doubling from 8 until two estimates agree; the 8- and
+16-point rules are evaluated in one pass over their concatenated nodes.
 
 A single pair (every ``kappa_sq``) is cut off sharply at R = cutoff_radius:
 the tail beyond R is one adaptive Simpson integral under r = R/(1-t)^2, and
@@ -65,9 +67,8 @@ smaller, and it is summed again at 0.8 of it; the estimate is the composed
 change between the two plus the terms' quadrature budgets.  When that
 exceeds the tolerance every term is redone at cutoff_radius.  Such a set
 has integer sources, and kappa^2 depends on d only up to the cube's
-symmetries, so the terms come from a bounded cache keyed on the sorted
-|d_i|, the radii and the tolerance, computed on the pair at the origin and
-at the key: a hit and a miss give the same bits.
+symmetries, so the terms come from a bounded cache keyed on the canonical
+offset, the radii and the tolerance: a hit and a miss give the same bits.
 """
 
 from __future__ import annotations
@@ -109,16 +110,17 @@ def check_cutoff(cutoff_radius: float, tolerance: float) -> None:
 
 def _as_points(points) -> np.ndarray:
     """The sources as an (n, 3) float array: finite lattice sites, or one
-    pair on a line parallel to the z-axis; ValueError otherwise."""
+    pair on the z-axis with a source at the origin; ValueError otherwise."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise ValueError("source points must be 3-vectors (units of the spacing)")
     if not np.isfinite(pts).all():
         raise ValueError("source points must be finite")
-    z_pair = len(pts) == 2 and (pts[0, :2] == pts[1, :2]).all()
-    if not (z_pair or (pts == np.round(pts)).all()):
+    axis_pair = len(pts) == 2 and not pts[:, :2].any() and not pts[:, 2].all()
+    if not (axis_pair or (pts == np.round(pts)).all()):
         raise ValueError(
-            "source points must be lattice sites, or one pair on a line parallel to the z-axis"
+            "source points must be lattice sites, or one pair on the z-axis "
+            "with a source at the origin"
         )
     return pts
 
@@ -135,14 +137,10 @@ def _column_grid(cx: float, cy: float, rmax: float):
 
 
 @functools.lru_cache(maxsize=8)
-def _axial_columns(fx: float, fy: float, rmax: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct squared xy distances to a centre with fractional xy part
-    (fx, fy), ascending, and how many columns within rmax share each.
-
-    X - cx equals (X - floor(cx)) - fx exactly, so the table is the same
-    for every centre with this fractional part.
-    """
-    _, _, rho2 = _column_grid(fx, fy, rmax)
+def _axial_columns(rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct squared distances of the integer xy columns within rmax to
+    the z-axis, ascending, and how many columns share each."""
+    _, _, rho2 = _column_grid(0.0, 0.0, rmax)
     rho2, counts = np.unique(rho2, return_counts=True)
     multiplicity = counts.astype(float)
     rho2.flags.writeable = multiplicity.flags.writeable = False  # shared by every caller
@@ -198,22 +196,17 @@ def _folded_columns(d, rmax):
     return rho2, multiplicity, [X * X + Y * Y, (X - a) ** 2 + (Y - b) ** 2]
 
 
-def _inversion_symmetric(centre) -> bool:
-    """True when inversion through a pair's midpoint maps the lattice onto
-    itself (2 * centre is an integer vector).  It swaps the two sources, so
-    v(2 c - l)^2 = v(l)^2 at every lattice point."""
-    twice = 2.0 * centre
-    return bool((twice == np.round(twice)).all())
-
-
-def _canonical_offset(pair) -> tuple[int, int, int] | None:
-    """For a pair of integer points, |q - p| permuted so that a zero or a
-    repeated component lies in xy and the odd one out in z: every cube
-    symmetry and translation of the pair gives the same vector.  None when
-    a source is not an integer point."""
-    if not (pair == np.round(pair)).all():
-        return None
-    s0, s1, s2 = sorted(abs(int(v)) for v in (pair[1] - pair[0]).tolist())
+def _canonical_offset(d) -> tuple:
+    """The offset a pair with displacement d = q - p is summed at: |d|
+    permuted so that a zero or a repeated component lies in xy and the odd
+    one out in z.  For lattice sites it is a tuple of ints, and every cube
+    symmetry and translation of the pair gives the same one; the axis pair
+    at a fractional D (the only pair off the lattice ``_as_points`` lets
+    through) gives (0, 0, |D|) with |D| a float."""
+    s0, s1, s2 = sorted(abs(v) for v in d.tolist())
+    if s2 != math.floor(s2):
+        return 0, 0, s2
+    s0, s1, s2 = int(s0), int(s1), int(s2)
     return (s1, s2, s0) if s1 == s2 else (s0, s1, s2)
 
 
@@ -226,54 +219,38 @@ def _window(s):
         return 1.0 / (1.0 + np.exp(1.0 / (1.0 - t) - 1.0 / t))
 
 
-def _core_sums(pair, radii, windowed=False) -> list[float]:
-    """Sum of (f_p - f_q)^2 over integer points l with |l - c| <= R, c the
-    midpoint of the rows p, q of ``pair``, per radius; ``windowed`` weights
-    each point by ``_window(|l - c| / R)`` instead.
+def _core_sums(offset, radii, windowed=False) -> list[float]:
+    """Sum of (f_p - f_q)^2 over integer points l with |l - c| <= R, for the
+    pair p = 0, q = ``offset`` and c its midpoint, per radius; ``windowed``
+    weights each point by ``_window(|l - c| / R)`` instead.
 
-    ``pair`` is two lattice sites, or, unwindowed only, two points on a line
-    parallel to the z-axis (the inputs ``_as_points`` accepts).  ``radii``
-    must be ascending.  Each point's summand and its test against R^2 use
-    the same float operations as a plain loop over every plane of the
-    bounding cube, so the set of points summed is the same.
+    ``offset`` is a ``_canonical_offset``; only an integer one may be
+    windowed.  ``radii`` must be ascending.  Each point's summand and its
+    test against R^2 use the same float operations as a plain loop over
+    every plane of the bounding cube, so the set of points summed is the
+    same.
 
-    A pair of integer points is summed as the pair at the origin and at its
-    ``_canonical_offset``: the same lattice points relative to c, so a
-    turned or moved copy gives the same bits.  Its columns come from the
-    cached ``_axial_columns`` (offset on the z-axis) or, mirror-folded, from
-    ``_integer_columns``, with no merge per call; every squared distance to
-    a source is an integer m, and f is read from a table of 1/(sqrt(m) + 1)
-    built once per call; 4 |l - c|^2 is an integer too, and the window is
-    read from a table per radius.  A z-parallel pair with a fractional
-    coordinate is summed where it lies, its columns read from
-    ``_axial_columns`` and f computed per point.
+    The columns come from the cached ``_axial_columns`` (offset on the
+    z-axis) or, mirror-folded, from ``_integer_columns``, with no merge per
+    call.  An integer offset sums half the planes (inversion through c),
+    and every squared distance to a source is an integer m, so f is read
+    from a table of 1/(sqrt(m) + 1) built once per call; 4 |l - c|^2 is an
+    integer too, and the window is read from a table per radius.  A
+    fractional offset, (0, 0, |D|), sums every plane with f computed per
+    point.
     """
     r2_limits = np.array([R * R for R in radii])
     r2_inner = r2_limits / 4.0  # where each window starts to fall
     rmax = radii[-1]
-    offset = _canonical_offset(pair)
-    if offset is None:
-        centre = pair.mean(axis=0)
-        cx, cy, cz = centre.tolist()
-        symmetric = _inversion_symmetric(centre)
-        source_z = pair[:, 2].tolist()
-        rho2, multiplicity = _axial_columns(cx - math.floor(cx), cy - math.floor(cy), rmax)
-        src2 = [rho2, rho2]
-
-        def inverse_distance(s2, dz2):
-            d = s2 + dz2
-            np.sqrt(d, out=d)
-            d += 1.0
-            return np.divide(1.0, d, out=d)
+    integral = isinstance(offset[2], int)  # _canonical_offset: ints for lattice sites
+    source_z = (0, offset[2])
+    cz = offset[2] / 2
+    if offset[:2] == (0, 0):
+        rho2, multiplicity = _axial_columns(rmax)
+        src2 = [rho2.astype(np.intp) if integral else rho2] * 2
     else:
-        cz = offset[2] / 2
-        symmetric = True
-        source_z = [0, offset[2]]
-        if offset[:2] == (0, 0):
-            rho2, multiplicity = _axial_columns(0.0, 0.0, rmax)
-            src2 = [rho2.astype(np.intp)] * 2
-        else:
-            rho2, multiplicity, src2 = _folded_columns(offset, rmax)
+        rho2, multiplicity, src2 = _folded_columns(offset, rmax)
+    if integral:
         # |l - p| <= |l - c| + |c - p|, with one spacing to spare
         reach = rmax + math.hypot(*offset) / 2 + 1.0
         table = np.sqrt(np.arange(math.ceil(reach * reach), dtype=float))
@@ -294,11 +271,17 @@ def _core_sums(pair, radii, windowed=False) -> list[float]:
 
             def window(r2, k):
                 return windows[k].take((4.0 * r2).astype(np.intp) - lows[k])
+    else:
+        def inverse_distance(s2, dz2):
+            d = s2 + dz2
+            np.sqrt(d, out=d)
+            d += 1.0
+            return np.divide(1.0, d, out=d)
 
-    z_first = math.ceil(cz) if symmetric else math.ceil(cz - rmax)
+    z_first = math.ceil(cz) if integral else math.ceil(cz - rmax)
     totals = [0.0 for _ in radii]
     for z in range(z_first, math.floor(cz + rmax) + 1):
-        factor = 2.0 if symmetric and z > cz else 1.0
+        factor = 2.0 if integral and z > cz else 1.0
         # rho2 is ascending, so each radius takes a prefix of the columns
         r2 = rho2 + (z - cz) ** 2
         ends = np.searchsorted(r2, r2_limits, side="right").tolist()
@@ -349,12 +332,12 @@ def _first_sphere_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, w_coarse, w
 
 
-def _tails(pair, radii, tol, windowed=False) -> list[float]:
+def _tails(half, radii, tol, windowed=False) -> list[float]:
     """Continuum integral of (f_p - f_q)^2 over |u - c| > R for each ascending
-    radius R, c the midpoint of the rows p, q of ``pair``, taken with the
-    pair on the z-axis at c -+ |q - p| / 2; ``windowed`` gives the integral
-    of (1 - _window(|u - c| / R)) (f_p - f_q)^2, the part the windowed core
-    sum leaves out, instead.
+    radius R, for a pair ``half`` from its midpoint c on either side (only
+    |q - p| / 2 matters, so it is taken on the z-axis at c -+ half);
+    ``windowed`` gives the integral of (1 - _window(|u - c| / R))
+    (f_p - f_q)^2, the part the windowed core sum leaves out, instead.
 
     The tail beyond the largest radius is integrated to ``tol`` under the
     map r = R/(1-t)^2: the shell decays like 1/r^4, so the mapped integrand
@@ -368,7 +351,6 @@ def _tails(pair, radii, tol, windowed=False) -> list[float]:
     Gauss-Legendre rule in r and cos(theta) whose n doubles from 8 until two
     estimates agree to ``tol``.
     """
-    half = float(np.linalg.norm(pair[1] - pair[0])) / 2
     sq = half * half
 
     def on_sphere(r: float, x: np.ndarray) -> np.ndarray:
@@ -459,24 +441,24 @@ def _tails(pair, radii, tol, windowed=False) -> list[float]:
     return tails[::-1]
 
 
-def _pair_sums(pair, radii, tolerance, windowed=False):
-    """kappa^2 of the two rows of ``pair`` with the cutoff (or the window)
-    at each radius about their midpoint, core sum plus continuum tail, and
-    the absolute error budget of its tail integrals."""
-    half = float(np.linalg.norm(pair[1] - pair[0])) / 2
+def _pair_sums(offset, radii, tolerance, windowed=False):
+    """kappa^2 of the pair with this ``_canonical_offset`` with the cutoff
+    (or the window) at each radius about its midpoint, core sum plus
+    continuum tail, and the absolute error budget of its tail integrals."""
+    half = float(np.linalg.norm(offset)) / 2
     quad_tol = 0.02 * tolerance * 4.0 * max(half, 1.0)  # 4 = (sum |w|)^2
     if windowed:
         quad_tol *= _WINDOW_QUAD_SHARE
-    cores = _core_sums(pair, radii, windowed)
-    tails = _tails(pair, radii, quad_tol, windowed)
+    cores = _core_sums(offset, radii, windowed)
+    tails = _tails(half, radii, quad_tol, windowed)
     return tuple(core + tail for core, tail in zip(cores, tails)), 2.0 * quad_tol
 
 
-@functools.lru_cache(maxsize=256)  # a 7 x 7 x 7 block has 83 integer pair keys
-def _integer_pair_sums(key: tuple[float, ...], radii: tuple[float, ...], tolerance):
-    """Windowed ``_pair_sums`` of every integer pair whose |d_i|, sorted,
-    are ``key``, computed on the pair at the origin and at ``key``."""
-    return _pair_sums(np.array([(0.0, 0.0, 0.0), key]), radii, tolerance, True)
+@functools.lru_cache(maxsize=256)  # a 7 x 7 x 7 block has 83 integer pair offsets
+def _integer_pair_sums(offset: tuple[int, int, int], radii: tuple[float, ...], tolerance):
+    """Windowed ``_pair_sums`` of every integer pair with this
+    ``_canonical_offset``."""
+    return _pair_sums(offset, radii, tolerance, True)
 
 
 def _windowed_sum(sources, cutoff_radius, tolerance, reach):
@@ -488,7 +470,8 @@ def _windowed_sum(sources, cutoff_radius, tolerance, reach):
     shortened = False
     for i, (p, wp) in enumerate(sources):
         for q, wq in sources[i + 1 :]:
-            half = float(np.linalg.norm(q - p)) / 2
+            offset = _canonical_offset(q - p)
+            half = float(np.linalg.norm(offset)) / 2
             radius = cutoff_radius
             if reach and 2.5 * half + _WINDOW_REACH < radius:
                 radius, shortened = 2.5 * half + _WINDOW_REACH, True
@@ -498,8 +481,7 @@ def _windowed_sum(sources, cutoff_radius, tolerance, reach):
                     f"cutoff_radius {cutoff_radius:g} too small for sources "
                     f"{2 * half:g} spacings apart; raise the radius"
                 )
-            key = tuple(sorted(np.abs(q - p).tolist()))
-            sums, budget = _integer_pair_sums(key, (_WINDOW_CHECK * radius, radius), tolerance)
+            sums, budget = _integer_pair_sums(offset, (_WINDOW_CHECK * radius, radius), tolerance)
             terms.append((-wp * wq, sums, budget))
     # one fixed order, so a moved or turned copy of a set gives the same bits
     terms.sort()
@@ -520,24 +502,35 @@ def column_difference_sum(
     docstring) with an estimate of its relative error.
 
     Returns ``(value, relative_bound)``.  The points must be lattice sites
-    (integer 3-vectors), or exactly two points on a line parallel to the
-    z-axis, which may lie anywhere.  A copy of a set of integer sources
-    turned by a symmetry of the cube or moved by an integer vector gives the
-    same bits.  For a single pair the estimate is the largest relative
-    change when the cutoff is lowered to 0.6, 0.7, 0.8 and 0.9 *
-    cutoff_radius (none below the sources' radius about their centroid plus
-    6); it is sampled, not proven.  For more sources each pair term is
-    windowed at its own radius (at most cutoff_radius), and the estimate is
-    the composed change from 0.8 of those radii plus the quadrature budgets
-    of the terms' tails, each weighted by |w_p w_q|.  Those terms come from
-    a cache of at most 256 entries keyed on the sorted |d|, the radii and
-    ``tolerance``.  Raises LatticeSumError when the estimate exceeds
-    ``tolerance`` or the sources do not fit well inside the radius (every
-    window must start to fall at least one spacing outside its pair), and
-    ValueError for a radius or tolerance that ``check_cutoff`` rejects
-    (checked first), for non-finite points, points that are neither lattice
-    sites nor one z-parallel pair, non-finite weights, and weights that do
-    not cancel to 1e-12 of their absolute sum.
+    (integer 3-vectors), or exactly two points on the z-axis, one of them at
+    the origin, at any real separation.  Each pair term is summed at the
+    ``_canonical_offset`` of its displacement, so a copy of a set of integer
+    sources turned by a symmetry of the cube or moved by an integer vector
+    gives the same bits.
+
+    For a single pair the estimate is the largest relative change when the
+    cutoff is lowered to 0.6, 0.7, 0.8 and 0.9 * cutoff_radius (none below
+    the sources' radius about their centroid plus 6); it is sampled, not
+    proven.  From |d| >= 1.8 R - 12 (D >= 96 at R = 60) all four
+    checkpoints collapse into that floor, so the estimate rests on one
+    radius and can swing across the tolerance between neighbouring
+    separations: at R = 60 it is 1.018e-3 at D = 99 - 1e-9, which raises,
+    and 8.9e-4 at D = 99.  ROADMAP item 21 replaces this estimate for single
+    pairs.
+
+    For more sources each pair term is windowed at its own radius (at most
+    cutoff_radius), and the estimate is the composed change from 0.8 of
+    those radii plus the quadrature budgets of the terms' tails, each
+    weighted by |w_p w_q|.  Those terms come from a cache of at most 256
+    entries keyed on the canonical offset, the radii and ``tolerance``.
+
+    Raises LatticeSumError when the estimate exceeds ``tolerance`` or the
+    sources do not fit well inside the radius (every window must start to
+    fall at least one spacing outside its pair), and ValueError for a radius
+    or tolerance that ``check_cutoff`` rejects (checked first), for
+    non-finite points, points that are neither lattice sites nor that axis
+    pair, non-finite weights, and weights that do not cancel to 1e-12 of
+    their absolute sum.
     """
     check_cutoff(cutoff_radius, tolerance)
     pts = _as_points(points)
@@ -578,7 +571,7 @@ def column_difference_sum(
         return 0.0, 0.0
     if len(sources) == 2:
         (p, wp), (q, wq) = sources
-        sums, _ = _pair_sums(np.array([p, q]), radii, tolerance)
+        sums, _ = _pair_sums(_canonical_offset(q - p), radii, tolerance)
         *earlier, value = (-wp * wq * v for v in sums)
         bound = max(abs(value - v) for v in earlier) / max(abs(value), 1e-300)
     else:

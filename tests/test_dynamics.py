@@ -391,6 +391,28 @@ def test_circuit_factor_is_positive_semidefinite(sector):
                 assert np.linalg.eigvalsh(factor).min() >= -1e-12
 
 
+@pytest.mark.parametrize("sector", [(2, 1), (3, 2), (4, 3)], ids=str)
+def test_circuit_stage_is_the_exponential_of_its_generator(sector):
+    # every exponent of the coherent-state factor is linear in tau, so the
+    # stage multiplies rho elementwise by exp(tau L_j), L_j the factor that
+    # site_apply multiplies by
+    sites, particles = sector
+    rng = np.random.default_rng(sites * 10 + particles)
+    basis = FockBasis(sites, particles)
+    kernel = CouplingKernel(LatticeSpec.chain(sites))
+    ones = np.ones((basis.dim, basis.dim))
+    for xi in (0.5, 1.0, 2.0):
+        gen = NoiseGenerator(basis, kernel, xi)
+        for tau in (1e-3, 5e-2, 0.3):
+            rho = random_density(rng, basis.dim)
+            for j in range(sites):
+                factor = np.exp(tau * gen.site_apply(ones, j))
+                assert (np.diagonal(factor) == 1.0).all()
+                np.testing.assert_allclose(
+                    circuit_step(rho, j, gen, tau), rho * factor, rtol=1e-14, atol=0.0
+                )
+
+
 @pytest.mark.parametrize("step", [circuit_step, dense_circuit_step], ids=["closed", "dense"])
 def test_truncation_guard_on_production_and_oracle(step):
     _, _, gen = two_site_setup()
